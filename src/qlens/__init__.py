@@ -23,7 +23,6 @@ from .equivalence import (
     Witness,
     decide_equiv,
     obstruction_mod_k,
-    smith_normal_form,
     solve_diophantine,
     submatrix_necessary,
     verify_witness,
@@ -115,7 +114,6 @@ __all__ = [
     "poly_1to6",
     "scale",
     "signature",
-    "smith_normal_form",
     "solve_diophantine",
     "submatrix_necessary",
     "to_dot",

@@ -42,12 +42,11 @@ DEFAULT_VECTOR_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class MatrixRecord:
-    """One distinct matrix: its smallest producing vector, digest,
-    signature, and how many normalized vectors produce it."""
+    """One distinct matrix: its smallest producing vector, signature, and
+    how many normalized vectors produce it."""
 
     params: LensParams
     matrix: PathMatrix
-    digest: str
     signature: Signature
     vector_count: int
 
@@ -165,29 +164,21 @@ def _build_records(r: int, n: int, budget: int, jobs: int | None) -> list[Matrix
             )
     else:
         all_entries = [_matrix_entries((r, v)) for v in vectors]
-    by_digest: dict[str, list] = {}
-    order: list[str] = []
+    by_entries: dict[tuple[tuple[int, ...], ...], list] = {}
     for vec, entries in zip(vectors, all_entries):
         params = LensParams(r, vec)
-        matrix = PathMatrix(r, vec, entries)
-        digest = _digest(matrix)
         sig = signature(params)
-        if digest not in by_digest:
-            by_digest[digest] = [params, matrix, sig, 1]
-            order.append(digest)
+        if entries not in by_entries:
+            by_entries[entries] = [params, PathMatrix(r, vec, entries), sig, 1]
         else:
-            slot = by_digest[digest]
+            slot = by_entries[entries]
             if slot[2] != sig:
                 raise InvariantViolationError(
                     f"vectors {slot[0].m} and {vec} share a matrix but disagree "
                     f"on the signature"
                 )
             slot[3] += 1
-    return [
-        MatrixRecord(slot[0], slot[1], digest, slot[2], slot[3])
-        for digest in order
-        for slot in [by_digest[digest]]
-    ]
+    return [MatrixRecord(*slot) for slot in by_entries.values()]
 
 
 def enumerate_matrices(
@@ -207,16 +198,9 @@ def _bucketize(records: list[MatrixRecord]) -> list[list[MatrixRecord]]:
 def _classify_bucket(records: list[MatrixRecord]) -> list[list[int]]:
     """Indexes of records grouped into classes, representative first."""
     groups: list[list[int]] = []
-    memo: dict[tuple[str, str], bool] = {}
     for idx, rec in enumerate(records):
         for group in groups:
-            rep = records[group[0]]
-            key = (rep.digest, rec.digest)
-            verdict = memo.get(key)
-            if verdict is None:
-                verdict = decide_equiv(rep.matrix, rec.matrix).equivalent
-                memo[key] = verdict
-            if verdict:
+            if decide_equiv(records[group[0]].matrix, rec.matrix).equivalent:
                 group.append(idx)
                 break
         else:
@@ -234,7 +218,7 @@ def _class_records(bucket: list[MatrixRecord], groups: list[list[int]]) -> list[
                 sum(bucket[i].vector_count for i in group),
                 len(group),
                 rep.signature,
-                rep.digest,
+                _digest(rep.matrix),
             )
         )
     return out

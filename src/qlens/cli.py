@@ -336,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except (InvariantViolationError, NonIntegerResultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

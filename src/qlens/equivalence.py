@@ -9,10 +9,10 @@ equation per strictly-upper position:
     sum_{i<k<j} (A-I)[k][j] * U'[i][k]
   - sum_{i<k<j} (B-I)[i][k] * V'[k][j]  =  B[i][j] - A[i][j].
 
-The system is solved completely over the integers via Smith normal form,
-so every verdict is exact: Equivalent comes with a verified witness and
-NotEquivalent with either a modular corner obstruction or infeasibility
-of the system.
+The system is solved completely over the integers by a column-echelon
+elimination with forward substitution, so every verdict is exact:
+Equivalent comes with a verified witness and NotEquivalent with either a
+modular corner obstruction or infeasibility of the system.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "Witness",
     "CornerObstruction",
     "EquivDecision",
-    "smith_normal_form",
     "solve_diophantine",
     "decide_equiv",
     "obstruction_mod_k",
@@ -140,121 +139,61 @@ def _matmul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list
     return out
 
 
-def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form D = S * M * T with unimodular S, T.
-
-    D is diagonal with non-negative entries and d1 | d2 | ... Pivoting is
-    deterministic: smallest nonzero absolute value, ties broken by lowest
-    row then lowest column. Off-pivot entries are reduced with floor
-    division at every step, which keeps intermediate entries small.
-    """
-    a = [list(map(int, row)) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(row) != cols for row in a):
-        raise DimensionMismatchError("matrix rows must have equal length")
-    s = _identity(rows)
-    t = _identity(cols)
-    k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        pi = pj = -1
-        best = 0
-        for i in range(k, rows):
-            ai = a[i]
-            for j in range(k, cols):
-                v = ai[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if best == 0 or av < best:
-                        best = av
-                        pi, pj = i, j
-        if pi < 0:
-            break
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            s[k], s[pi] = s[pi], s[k]
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            for row in t:
-                row[k], row[pj] = row[pj], row[k]
-        while True:
-            restart = False
-            for i in range(k + 1, rows):
-                while a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                        s[i] = [x - q * y for x, y in zip(s[i], s[k])]
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        s[k], s[i] = s[i], s[k]
-            for j in range(k + 1, cols):
-                while a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[k]
-                        for row in t:
-                            row[j] -= q * row[k]
-                    if a[k][j]:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        for row in t:
-                            row[k], row[j] = row[j], row[k]
-                        restart = True
-                if restart:
-                    break
-            if restart:
-                continue
-            pivot = a[k][k]
-            violation = -1
-            for i in range(k + 1, rows):
-                ai = a[i]
-                for j in range(k + 1, cols):
-                    if ai[j] % pivot:
-                        violation = i
-                        break
-                if violation >= 0:
-                    break
-            if violation < 0:
-                break
-            a[k] = [x + y for x, y in zip(a[k], a[violation])]
-            s[k] = [x + y for x, y in zip(s[k], s[violation])]
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            s[k] = [-x for x in s[k]]
-        k += 1
-    return (
-        tuple(tuple(row) for row in s),
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in t),
-    )
-
-
 def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
-    """One integer solution x of M*x = c, or None when infeasible."""
+    """One integer solution x of M*x = c, or None when infeasible.
+
+    Column-echelon solve (Cohen, A Course in Computational Algebraic
+    Number Theory, section 2.4). Each column of M is stacked on the
+    matching column of an identity T, so that every unimodular column
+    operation keeps the top equal to M * T. Row by row, the columns not
+    yet used as pivots are reduced, smallest entry first, until one of
+    them is nonzero in that row; it becomes the pivot, and no later
+    operation touches it. The pivot columns of M * T are then in echelon
+    form, and c is forward-substituted into them as the rows go by: a
+    pivot that does not divide what is left of c, or a pivot-free row
+    where that is nonzero, proves the system infeasible. The solution
+    x = T * y is accumulated alongside. Hermite reduction of earlier pivot
+    columns would change T and y but not x, so it is not done.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    c = [int(v) for v in c]
-    if len(c) != rows:
+    residual = [int(v) for v in c]
+    if len(residual) != rows:
         raise DimensionMismatchError(
-            f"right-hand side has {len(c)} entries for {rows} equations"
+            f"right-hand side has {len(residual)} entries for {rows} equations"
         )
-    s, d, t = smith_normal_form(matrix)
-    b = [sum(sv * cv for sv, cv in zip(srow, c)) for srow in s]
-    y = [0] * cols
+    if any(len(row) != cols for row in matrix):
+        raise DimensionMismatchError("matrix rows must have equal length")
+    columns = [
+        [int(row[j]) for row in matrix] + [int(k == j) for k in range(cols)]
+        for j in range(cols)
+    ]
+    free = list(range(cols))
+    x = [0] * cols
     for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        if di:
-            q, rem = divmod(b[i], di)
-            if rem:
+        live = [j for j in free if columns[j][i]]
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(columns[j][i]))
+            pivot = columns[p]
+            for j in live:
+                if j != p:
+                    col = columns[j]
+                    q = col[i] // pivot[i]
+                    col[:] = [a - q * b for a, b in zip(col, pivot)]
+            live = [j for j in live if columns[j][i]]
+        if not live:
+            if residual[i]:
                 return None
-            y[i] = q
-        elif b[i]:
+            continue
+        free.remove(live[0])
+        pivot = columns[live[0]]
+        y, rem = divmod(residual[i], pivot[i])
+        if rem:
             return None
-    return tuple(sum(tv * yv for tv, yv in zip(trow, y)) for trow in t)
+        if y:
+            residual = [rv - y * pv for rv, pv in zip(residual, pivot)]
+            x = [xv + y * tv for xv, tv in zip(x, pivot[rows:])]
+    return tuple(x)
 
 
 def obstruction_mod_k(A, B, k: int) -> CornerObstruction | None:

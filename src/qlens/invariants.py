@@ -15,7 +15,7 @@ from math import prod
 from .errors import BadModulusError, HypothesisUnmetError, InvalidParamsError, InvariantViolationError
 from .lensgraph import LensParams
 from .numtheory import binomial, factorize, is_prime, mod_inverse, padic_valuation
-from .pathmatrix import PathMatrix, count_matrix
+from .pathmatrix import PathMatrix, _count_row, count_matrix
 
 __all__ = [
     "Signature",
@@ -158,13 +158,13 @@ def congruence_main(params: LensParams, p: int, alpha: int) -> tuple[int, int]:
     if n > p + 1:
         raise InvalidParamsError(f"need n <= p + 1, got n = {n} for p = {p}")
     modulus = p**alpha
-    matrix = count_matrix(params)
+    first_row = _count_row(params.r, params.m, 1)
     for a in range(2, n):
-        if matrix.entry(1, a) % modulus:
+        if first_row[a - 1] % modulus:
             raise HypothesisUnmetError(
-                f"entry (1, {a}) = {matrix.entry(1, a)} is not divisible by {modulus}"
+                f"entry (1, {a}) = {first_row[a - 1]} is not divisible by {modulus}"
             )
-    lhs = matrix.entry(1, n) % modulus
+    lhs = first_row[n - 1] % modulus
     interior = prod(params.m[1 : n - 1]) if n >= 2 else 1
     rhs = (
         binomial(params.r + n - 2, n - 1) * mod_inverse(interior, modulus)

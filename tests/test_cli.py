@@ -134,6 +134,17 @@ def test_classes_budget_exit_3(capsys):
     assert "budget" in err
 
 
+def test_out_of_memory_exit_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qlens.cli.count_matrix", exhausted)
+    code, out, err = run(capsys, "matrix", "--r", "5", "--m", "1,2,1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_phitilde_match(capsys):
     code, out, _ = run(capsys, "phitilde", "--r", "12")
     assert code == 0

@@ -1,5 +1,6 @@
-"""Tests for Smith normal form, Diophantine solving, and the equivalence decision."""
+"""Tests for Diophantine solving and the equivalence decision."""
 
+import itertools
 import math
 import random
 
@@ -14,7 +15,6 @@ from qlens.equivalence import (
     Witness,
     decide_equiv,
     obstruction_mod_k,
-    smith_normal_form,
     solve_diophantine,
     submatrix_necessary,
     unipotent_inverse,
@@ -24,74 +24,11 @@ from qlens.lensgraph import LensParams
 from qlens.pathmatrix import closed_form_all_ones, count_matrix
 
 
-def determinant(matrix):
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def matmul(x, y):
     return [
         [sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
         for i in range(len(x))
     ]
-
-
-def check_snf(matrix):
-    s, d, t = smith_normal_form(matrix)
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    assert [list(r) for r in d] == matmul(matmul([list(r) for r in s], [list(r) for r in matrix]), [list(r) for r in t])
-    assert abs(determinant(s)) == 1
-    assert abs(determinant(t)) == 1
-    diag = [d[i][i] for i in range(min(rows, cols))]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert d[i][j] == 0
-    assert all(v >= 0 for v in diag)
-    for u, v in zip(diag, diag[1:]):
-        if u:
-            assert v % u == 0
-        else:
-            assert v == 0
-    return diag
-
-
-def test_snf_examples():
-    assert check_snf([[2, 4], [6, 8]]) == [2, 4]
-    assert check_snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
-    assert check_snf([[0, 0], [0, 0]]) == [0, 0]
-
-
-def test_snf_random_shapes():
-    rng = random.Random(8833)
-    for _ in range(40):
-        rows = rng.randrange(1, 6)
-        cols = rng.randrange(1, 7)
-        matrix = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        check_snf(matrix)
-
-
-def test_snf_rejects_ragged():
-    with pytest.raises(DimensionMismatchError):
-        smith_normal_form([[1, 2], [3]])
 
 
 def test_solve_examples():
@@ -108,6 +45,8 @@ def test_solve_zero_rows():
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         solve_diophantine([[1, 2]], [1, 2])
+    with pytest.raises(DimensionMismatchError):
+        solve_diophantine([[1, 2], [3]], [1, 2])
 
 
 def test_solve_random_feasible():
@@ -123,9 +62,47 @@ def test_solve_random_feasible():
         assert [sum(mv * sv for mv, sv in zip(row, sol)) for row in matrix] == c
 
 
+def random_unimodular(rng, n):
+    """Identity scrambled by row additions, swaps and sign changes."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.randrange(-3, 4)
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+            if rng.random() < 0.3:
+                m[i], m[j] = m[j], m[i]
+        elif rng.random() < 0.3:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
 def test_solve_detects_infeasible():
     assert solve_diophantine([[2, 4], [0, 2]], (1, 0)) is None
     assert solve_diophantine([[3, 3]], [2]) is None
+    # M = P diag(d) Q and c = P e with P, Q unimodular: M x = c is
+    # solvable iff d_i divides e_i for every i (e_i = 0 where d_i = 0 or
+    # there is no d_i). One e_i is drawn to break that, then mended.
+    rng = random.Random(2718)
+    for _ in range(60):
+        rows = rng.randrange(1, 7)
+        cols = rng.randrange(1, 8)
+        d = [rng.randrange(0, 7) for _ in range(min(rows, cols))] + [0] * max(0, rows - cols)
+        e = [d[i] * rng.randrange(-5, 6) for i in range(rows)]
+        bad = rng.randrange(rows)
+        if d[bad] == 1:
+            d[bad] = rng.randrange(2, 7)
+        e[bad] += rng.randrange(1, d[bad]) if d[bad] else rng.choice([-1, 1]) * rng.randrange(1, 9)
+        diag = [[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+        p = random_unimodular(rng, rows)
+        matrix = matmul(matmul(p, diag), random_unimodular(rng, cols))
+        c = [sum(pv * ev for pv, ev in zip(row, e)) for row in p]
+        assert solve_diophantine(matrix, c) is None, (matrix, c)
+        e[bad] = d[bad] * rng.randrange(-5, 6)
+        c = [sum(pv * ev for pv, ev in zip(row, e)) for row in p]
+        x = solve_diophantine(matrix, c)
+        assert x is not None
+        assert [sum(mv * xv for mv, xv in zip(row, x)) for row in matrix] == c
 
 
 def test_decide_equiv_equal_matrices():
@@ -257,9 +234,9 @@ def transformed_pair(rng, params):
 
 def test_decide_equiv_recognizes_transforms():
     rng = random.Random(424242)
-    for _ in range(15):
-        r = rng.choice([3, 4, 5, 7, 9])
-        n = rng.randrange(2, 7)
+    small = ((rng.choice([3, 4, 5, 7, 9]), rng.randrange(2, 7)) for _ in range(15))
+    large = ((7, 12), (4, 12), (11, 16), (9, 16))
+    for r, n in itertools.chain(small, large):
         us = [u for u in range(1, r) if math.gcd(u, r) == 1]
         params = LensParams(r, tuple(rng.choice(us) for _ in range(n)))
         a, b = transformed_pair(rng, params)
@@ -389,6 +366,19 @@ def test_decide_equiv_deterministic_witness():
     w1 = decide_equiv(a, b).witness
     w2 = decide_equiv(a, b).witness
     assert w1 == w2
+
+
+def test_decide_equiv_witness_entries_stay_small():
+    # A pair from classes --r 12 --n 7 on which a Smith-normal-form solve
+    # gives 10,135-bit witness entries. Past about 14,284 bits
+    # Witness.to_json fails on Python's 4,300-digit limit for int to str.
+    a = count_matrix(LensParams(12, (1, 1, 5, 7, 5, 1, 1)))
+    b = count_matrix(LensParams(12, (1, 1, 11, 1, 11, 1, 1)))
+    decision = decide_equiv(a, b)
+    assert decision.equivalent
+    w = decision.witness
+    assert all(abs(v) < 2**256 for mat in (w.U, w.V) for row in mat for v in row)
+    assert Witness.from_json(w.to_json()) == w
 
 
 def test_witness_json_round_trip():
