@@ -45,6 +45,11 @@ def test_solve_zero_rows():
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         solve_diophantine([[1, 2]], [1, 2])
+
+
+def test_snf_rejects_ragged():
+    # Ragged rows are rejected by the column-echelon solve that replaced
+    # the Smith normal form.
     with pytest.raises(DimensionMismatchError):
         solve_diophantine([[1, 2], [3]], [1, 2])
 
