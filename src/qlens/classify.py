@@ -2,8 +2,10 @@
 
 The enumeration domain fixes m_1 = m_2 = m_n = 1; every matrix of the full
 parameter space is still produced because the matrix is invariant under
-scaling and under changes to the first and last entries. Classification
-buckets matrices by signature (classes never span buckets), then runs the
+scaling and under changes to the first and last entries. The domain's
+matrices come from one depth-first walk over m_3..m_{n-1} that shares the
+row DP of every common prefix; each distinct matrix keeps its first
+(smallest) vector in itertools.product order. Classification buckets matrices by signature (classes never span buckets), then runs the
 exact solver inside each bucket with a representative-first union-find:
 each matrix is compared against the representatives of the classes found
 so far, joining the first equivalent one. Transitivity makes this exact,
@@ -12,7 +14,6 @@ since representatives are pairwise non-equivalent by construction.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
 from .equivalence import decide_equiv
-from .invariants import Signature, lower_bound_classes, signature
+from .invariants import Signature, lower_bound_classes, window_products
 from .lensgraph import LensParams
-from .pathmatrix import PathMatrix, count_matrix
+from .numtheory import factorize
+from .pathmatrix import PathMatrix, _normalized_walk, count_matrix
 
 __all__ = [
     "MatrixRecord",
@@ -42,10 +44,9 @@ DEFAULT_VECTOR_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class MatrixRecord:
-    """One distinct matrix: its smallest producing vector, signature, and
-    how many normalized vectors produce it."""
+    """One distinct matrix (its m is the smallest producing vector), its
+    signature, and how many normalized vectors produce it."""
 
-    params: LensParams
     matrix: PathMatrix
     signature: Signature
     vector_count: int
@@ -127,65 +128,48 @@ def _digest(matrix: PathMatrix) -> str:
     return ";".join(",".join(str(v) for v in row) for row in matrix.entries)
 
 
-def _normalized_vectors(r: int, n: int, budget: int) -> list[tuple[int, ...]]:
-    if n < 1:
-        raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
-    if n == 1:
-        return [(1,)]
-    if n == 2:
-        return [(1, 1)]
-    units = [u for u in range(1, r) if math.gcd(u, r) == 1]
-    free = n - 3
-    total = len(units) ** free
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {total} vectors, exceeding the budget of {budget}"
-        )
-    return [(1, 1) + mid + (1,) for mid in itertools.product(units, repeat=free)]
-
-
-def _matrix_entries(args: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    r, vec = args
-    return count_matrix(LensParams(r, vec)).entries
-
-
-def _build_records(r: int, n: int, budget: int, jobs: int | None) -> list[MatrixRecord]:
+def _build_records(r: int, n: int, budget: int) -> list[MatrixRecord]:
     """Distinct matrices in lexicographic first-occurrence order.
 
     Vectors producing the same matrix must agree on the signature; that
     consistency is asserted here because the buckets downstream would be
     ill-defined otherwise.
     """
-    vectors = _normalized_vectors(r, n, budget)
-    if jobs is not None and jobs > 1 and len(vectors) > 64:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_entries = list(
-                pool.map(_matrix_entries, ((r, v) for v in vectors), chunksize=64)
+    if n < 1:
+        raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
+    units = []
+    if n >= 3:
+        units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+        total = len(units) ** (n - 3)
+        if total > budget:
+            raise BudgetExceededError(
+                f"enumeration needs {total} vectors, exceeding the budget of {budget}"
             )
-    else:
-        all_entries = [_matrix_entries((r, v)) for v in vectors]
+    primes = tuple(p for p, _ in factorize(r).odd_primes)
     by_entries: dict[tuple[tuple[int, ...], ...], list] = {}
-    for vec, entries in zip(vectors, all_entries):
-        params = LensParams(r, vec)
-        sig = signature(params)
-        if entries not in by_entries:
-            by_entries[entries] = [params, PathMatrix(r, vec, entries), sig, 1]
+    for vec, entries in _normalized_walk(r, n, units):
+        windows = window_products(primes, vec)
+        slot = by_entries.get(entries)
+        if slot is None:
+            by_entries[entries] = [PathMatrix(r, vec, entries), Signature(primes, windows), 1]
+        elif slot[1].windows != windows:
+            raise InvariantViolationError(
+                f"vectors {slot[0].m} and {vec} share a matrix but disagree "
+                f"on the signature"
+            )
         else:
-            slot = by_entries[entries]
-            if slot[2] != sig:
-                raise InvariantViolationError(
-                    f"vectors {slot[0].m} and {vec} share a matrix but disagree "
-                    f"on the signature"
-                )
-            slot[3] += 1
+            slot[2] += 1
     return [MatrixRecord(*slot) for slot in by_entries.values()]
 
 
 def enumerate_matrices(
-    r: int, n: int, budget: int = DEFAULT_VECTOR_BUDGET, jobs: int | None = None
+    r: int, n: int, budget: int = DEFAULT_VECTOR_BUDGET
 ) -> list[tuple[LensParams, PathMatrix]]:
     """All distinct matrices for (r, n), with smallest producing vectors."""
-    return [(rec.params, rec.matrix) for rec in _build_records(r, n, budget, jobs)]
+    return [
+        (LensParams(r, rec.matrix.m), rec.matrix)
+        for rec in _build_records(r, n, budget)
+    ]
 
 
 def _bucketize(records: list[MatrixRecord]) -> list[list[MatrixRecord]]:
@@ -214,7 +198,7 @@ def _class_records(bucket: list[MatrixRecord], groups: list[list[int]]) -> list[
         rep = bucket[group[0]]
         out.append(
             ClassRecord(
-                rep.params.m,
+                rep.matrix.m,
                 sum(bucket[i].vector_count for i in group),
                 len(group),
                 rep.signature,
@@ -237,7 +221,7 @@ def partition_classes(
     partition, which is slower but does not rely on the signature being
     an invariant; the two modes must agree.
     """
-    records = _build_records(r, n, budget, jobs)
+    records = _build_records(r, n, budget)
     buckets = _bucketize(records) if use_signature_buckets else [records]
     if jobs is not None and jobs > 1 and len(buckets) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -278,7 +262,6 @@ def phitilde_search(
     r: int,
     n_max: int,
     budget: int = DEFAULT_VECTOR_BUDGET,
-    jobs: int | None = None,
 ) -> int | NotFoundBelow:
     """Smallest n <= n_max with more than one class, else NotFoundBelow.
 
@@ -287,7 +270,7 @@ def phitilde_search(
     exhausted.
     """
     for n in range(1, n_max + 1):
-        records = _build_records(r, n, budget, jobs)
+        records = _build_records(r, n, budget)
         buckets = _bucketize(records)
         if len(buckets) > 1:
             return n

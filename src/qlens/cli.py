@@ -153,7 +153,7 @@ def cmd_classes(args: argparse.Namespace) -> int:
 
 def cmd_phitilde(args: argparse.Namespace) -> int:
     formula = phitilde_formula(args.r)
-    found = phitilde_search(args.r, args.n_max, budget=args.budget, jobs=args.jobs)
+    found = phitilde_search(args.r, args.n_max, budget=args.budget)
     searched = None if isinstance(found, NotFoundBelow) else found
     match = formula == searched if searched is not None else formula > args.n_max
     if args.format == "json":

@@ -58,17 +58,18 @@ class Signature:
         )
 
 
+def window_products(primes: tuple[int, ...], m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The signature windows of m for the given odd primes of r."""
+    return tuple(
+        tuple(prod(m[t : t + p - 1]) % p for t in range(1, len(m) - p + 1))
+        for p in primes
+    )
+
+
 def signature(params: LensParams) -> Signature:
     """The equivalence-necessary invariant of params."""
-    fact = factorize(params.r)
-    primes = tuple(p for p, _ in fact.odd_primes)
-    windows = []
-    for p in primes:
-        row = []
-        for t in range(1, params.n - p + 1):
-            row.append(prod(params.m[t : t + p - 1]) % p)
-        windows.append(tuple(row))
-    return Signature(primes, tuple(windows))
+    primes = tuple(p for p, _ in factorize(params.r).odd_primes)
+    return Signature(primes, window_products(primes, params.m))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     BadModulusError,
@@ -92,33 +93,78 @@ class PathMatrix:
         return buf.getvalue()
 
 
+def _advance(r: int, f: list[int], shift: int) -> list[int]:
+    """Row state after one more subgraph, whose unit is shift.
+
+    The recurrence g[t] = f[t] + g[t - shift] is a prefix sum along the
+    cycle t = k*shift mod r, which visits every column but 0 once because
+    shift is a unit. As f[0] = 0, its last term g[r - shift] is sum(f).
+    """
+    g = [0] * r
+    acc = 0
+    u = 0
+    for _ in range(r - 1):
+        u = (u + shift) % r
+        acc += f[u]
+        g[u] = acc
+    return g
+
+
 def _count_row(r: int, m: tuple[int, ...], i: int) -> tuple[int, ...]:
     """Entries (i, i..n) of the path-count matrix, 1-based source i.
 
     f[t] counts column-0-avoiding walks from (i, 0) to the current
-    subgraph's column t. Within subgraph s the recurrence is
-    f[t] = f_prev[t] + f[t - m_s], solved by a prefix sum along the
-    cycle t = k*m_s mod r, which never passes column 0 because m_s is
-    a unit. Closing into column 0 uses the walk count at column r - m_s.
+    subgraph's column t. Closing into column 0 in subgraph s uses the
+    walk count at column r - m_s.
     """
-    n = len(m)
-    f = [1] * r
-    f[0] = 0
+    f = [0] + [1] * (r - 1)
     total = f[r - m[i - 1]]
     row = [total]
-    for s in range(i + 1, n + 1):
-        shift = m[s - 1]
-        g = [0] * r
-        acc = 0
-        u = 0
-        for _ in range(r - 1):
-            u = (u + shift) % r
-            acc += f[u]
-            g[u] = acc
-        f = g
+    for shift in m[i:]:
+        f = _advance(r, f, shift)
         total += f[r - shift]
         row.append(total)
     return tuple(row)
+
+
+def _normalized_walk(
+    r: int, n: int, units: list[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """(m, entries) for every m = (1, 1, m_3, .., m_{n-1}, 1) with free
+    entries from units, in itertools.product order.
+
+    The closing value of subgraph s is the sum of the state before it, so
+    entry (i, s) = entry (i, s-1) + sum(state of row i after subgraph s-1):
+    column s needs only m_{i+1}..m_{s-1}, and row i starts from the same
+    state whatever m_i is. A depth-first walk over the free positions
+    carries each row's state down the tree, so work on a shared prefix is
+    done once; the last column needs only the sums of the advanced states.
+    """
+    start = [0] + [1] * (r - 1)
+    pads = [(0,) * i for i in range(n)]
+
+    def descend(m, rows, states):
+        # rows[i] holds row i+1 up to column len(m), states[i] its state
+        # after subgraph len(m); the new rows extend them to column len(m)+1.
+        k = len(m)
+        rows = [row + (row[-1] + sum(f),) for row, f in zip(rows, states)]
+        choices = units if k >= 2 else (1,)
+        if k == n - 2:
+            tail = (pads[k] + (1, r), pads[k + 1] + (1,))
+            for u in choices:
+                yield m + (u, 1), tuple(
+                    pads[i] + row + (row[-1] + sum(_advance(r, f, u)),)
+                    for i, (row, f) in enumerate(zip(rows, states))
+                ) + tail
+            return
+        rows.append((1,))
+        for u in choices:
+            yield from descend(m + (u,), rows, [_advance(r, f, u) for f in states] + [start])
+
+    if n <= 2:
+        yield (1,) * n, count_matrix(LensParams(r, (1,) * n)).entries
+    else:
+        yield from descend((1,), [(1,)], [start])
 
 
 def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:

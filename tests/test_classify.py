@@ -1,18 +1,25 @@
 """Tests for enumeration, partitioning, the phitilde search, and conjecture runs."""
 
+import itertools
+import math
+
 import pytest
 
 from qlens.errors import BudgetExceededError, InvalidParamsError
 from qlens.classify import (
+    DEFAULT_VECTOR_BUDGET,
     ClassPartition,
     NotFoundBelow,
     enumerate_matrices,
     partition_classes,
     phitilde_search,
     verify_conjectures,
+    _build_records,
 )
 from qlens.equivalence import decide_equiv
 from qlens.invariants import lower_bound_classes, phitilde_formula
+from qlens.lensgraph import LensParams
+from qlens.pathmatrix import _normalized_walk, count_matrix
 
 
 def test_enumerate_matrices_r3_n4():
@@ -60,12 +67,20 @@ def test_enumerate_matrices_rejects_bad_n():
         enumerate_matrices(5, 0)
 
 
-def test_enumerate_matrices_parallel_matches_serial():
-    serial = enumerate_matrices(5, 7)
-    parallel = enumerate_matrices(5, 7, jobs=2)
-    assert [(p.m, m.entries) for p, m in serial] == [
-        (p.m, m.entries) for p, m in parallel
-    ]
+def test_normalized_walk_matches_count_matrix():
+    cases = [(21, 7), (8, 8), (5, 7)] + [(r, n) for r in (3, 4, 12) for n in range(1, 5)]
+    for r, n in cases:
+        units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+        if n >= 3:
+            vectors = [(1, 1) + mid + (1,) for mid in itertools.product(units, repeat=n - 3)]
+        else:
+            vectors = [(1,) * n]
+        walked = list(_normalized_walk(r, n, units))
+        assert [vec for vec, _ in walked] == vectors, (r, n)
+        for vec, entries in walked:
+            assert entries == count_matrix(LensParams(r, vec)).entries, (r, vec)
+        records = _build_records(r, n, DEFAULT_VECTOR_BUDGET)
+        assert sum(rec.vector_count for rec in records) == len(vectors), (r, n)
 
 
 def test_partition_r3_n4():
