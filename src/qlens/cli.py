@@ -52,15 +52,14 @@ def _parse_m(text: str) -> tuple[int, ...]:
 
 def _default_jobs() -> int:
     env = os.environ.get("QLENS_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise InvalidParamsError(f"QLENS_JOBS must be an integer, got {env!r}") from None
-    else:
-        jobs = os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        raise InvalidParamsError(f"QLENS_JOBS must be an integer, got {env!r}") from None
     if jobs < 1:
-        raise InvalidParamsError(f"worker count must be >= 1, got {jobs}")
+        raise InvalidParamsError(f"QLENS_JOBS must be >= 1, got {jobs}")
     return jobs
 
 
@@ -325,13 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is None:
-        try:
-            args.jobs = _default_jobs()
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
     try:
+        if args.jobs is None:
+            args.jobs = _default_jobs()
+        for flag in ("jobs", "budget"):
+            if getattr(args, flag, 1) < 1:
+                raise InvalidParamsError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,11 @@ equation per strictly-upper position:
   - sum_{i<k<j} (B-I)[i][k] * V'[k][j]  =  B[i][j] - A[i][j].
 
 The system is solved completely over the integers by a column-echelon
-elimination with forward substitution, so every verdict is exact:
-Equivalent comes with a verified witness and NotEquivalent with either a
-modular corner obstruction or infeasibility of the system.
+elimination with forward substitution on sparse {row: value} columns; the
+column operations are logged and replayed in reverse on the pivot values
+to give the solution. Every verdict is exact: Equivalent comes with a
+verified witness and NotEquivalent with either a modular corner
+obstruction or infeasibility of the system.
 """
 
 from __future__ import annotations
@@ -143,17 +145,16 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
     """One integer solution x of M*x = c, or None when infeasible.
 
     Column-echelon solve (Cohen, A Course in Computational Algebraic
-    Number Theory, section 2.4). Each column of M is stacked on the
-    matching column of an identity T, so that every unimodular column
-    operation keeps the top equal to M * T. Row by row, the columns not
-    yet used as pivots are reduced, smallest entry first, until one of
-    them is nonzero in that row; it becomes the pivot, and no later
-    operation touches it. The pivot columns of M * T are then in echelon
-    form, and c is forward-substituted into them as the rows go by: a
-    pivot that does not divide what is left of c, or a pivot-free row
-    where that is nonzero, proves the system infeasible. The solution
-    x = T * y is accumulated alongside. Hermite reduction of earlier pivot
-    columns would change T and y but not x, so it is not done.
+    Number Theory, section 2.4) on sparse columns, each a {row: value}
+    dict without zeros. Row by row, the columns not yet used as pivots
+    are reduced, smallest entry first (ties to the lowest column), until
+    one of them is nonzero in that row; it becomes the pivot, and no later
+    operation touches it. c is forward-substituted into the pivots as the
+    rows go by: a pivot that does not divide what is left of c, or a
+    pivot-free row where that is nonzero, proves the system infeasible.
+    The unimodular T with M*T in echelon form is never built: each column
+    operation (j, p, q), column j -= q * column p, is logged, and x = T*y
+    follows from the pivot values y by replaying the log in reverse.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -164,14 +165,12 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
         )
     if any(len(row) != cols for row in matrix):
         raise DimensionMismatchError("matrix rows must have equal length")
-    columns = [
-        [int(row[j]) for row in matrix] + [int(k == j) for k in range(cols)]
-        for j in range(cols)
-    ]
+    columns = [{i: int(v) for i, v in enumerate(column) if v} for column in zip(*matrix)]
     free = list(range(cols))
-    x = [0] * cols
+    y = [0] * cols
+    log: list[tuple[int, int, int]] = []
     for i in range(rows):
-        live = [j for j in free if columns[j][i]]
+        live = [j for j in free if i in columns[j]]
         while len(live) > 1:
             p = min(live, key=lambda j: abs(columns[j][i]))
             pivot = columns[p]
@@ -179,21 +178,27 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
                 if j != p:
                     col = columns[j]
                     q = col[i] // pivot[i]
-                    col[:] = [a - q * b for a, b in zip(col, pivot)]
-            live = [j for j in live if columns[j][i]]
+                    log.append((j, p, q))
+                    for k, v in pivot.items():
+                        if v := col.get(k, 0) - q * v:
+                            col[k] = v
+                        else:
+                            del col[k]
+            live = [j for j in live if i in columns[j]]
         if not live:
             if residual[i]:
                 return None
             continue
-        free.remove(live[0])
-        pivot = columns[live[0]]
-        y, rem = divmod(residual[i], pivot[i])
+        p = live[0]
+        free.remove(p)
+        y[p], rem = divmod(residual[i], columns[p][i])
         if rem:
             return None
-        if y:
-            residual = [rv - y * pv for rv, pv in zip(residual, pivot)]
-            x = [xv + y * tv for xv, tv in zip(x, pivot[rows:])]
-    return tuple(x)
+        for k, v in columns[p].items():
+            residual[k] -= y[p] * v
+    for j, p, q in reversed(log):
+        y[p] -= q * y[j]
+    return tuple(y)
 
 
 def obstruction_mod_k(A, B, k: int) -> CornerObstruction | None:
@@ -261,42 +266,34 @@ def _best_corner_obstruction(a: IntMatrix, b: IntMatrix) -> CornerObstruction | 
     raise InvariantViolationError("corner difference not detected by any prime power")
 
 
+def _upper_positions(n: int) -> list[tuple[int, int]]:
+    """Strictly-upper positions (i, k) of an n x n matrix, row-major."""
+    return [(i, k) for i in range(n) for k in range(i + 1, n)]
+
+
 def _build_system(a: IntMatrix, b: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     """Equations over the strictly-upper unknowns of U' then V', row-major."""
-    n = len(a)
-    index = {}
-    pos = 0
-    for i in range(n):
-        for k in range(i + 1, n):
-            index[("U", i, k)] = pos
-            pos += 1
-    half = pos
-    for i in range(n):
-        for k in range(i + 1, n):
-            index[("V", i, k)] = pos
-            pos += 1
+    positions = _upper_positions(len(a))
+    index = {pos: col for col, pos in enumerate(positions)}
+    half = len(positions)
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [0] * pos
-            for k in range(i + 1, j):
-                row[index[("U", i, k)]] += a[k][j]
-                row[index[("V", k, j)]] -= b[i][k]
-            rows.append(row)
-            rhs.append(b[i][j] - a[i][j])
+    for i, j in positions:
+        row = [0] * (2 * half)
+        for k in range(i + 1, j):
+            row[index[i, k]] += a[k][j]
+            row[half + index[k, j]] -= b[i][k]
+        rows.append(row)
+        rhs.append(b[i][j] - a[i][j])
     return rows, rhs, half
 
 
 def _witness_from_solution(n: int, half: int, x: tuple[int, ...]) -> Witness:
     u = _identity(n)
     v = _identity(n)
-    pos = 0
-    for i in range(n):
-        for k in range(i + 1, n):
-            u[i][k] = x[pos]
-            v[i][k] = x[half + pos]
-            pos += 1
+    for col, (i, k) in enumerate(_upper_positions(n)):
+        u[i][k] = x[col]
+        v[i][k] = x[half + col]
     return Witness(tuple(tuple(r) for r in u), tuple(tuple(r) for r in v))
 
 

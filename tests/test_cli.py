@@ -223,6 +223,30 @@ def test_jobs_env_invalid(capsys, monkeypatch):
     monkeypatch.setenv("QLENS_JOBS", "0")
     code, _, err = run(capsys, "matrix", "--r", "5", "--m", "1,2,1")
     assert code == 2
+    assert "QLENS_JOBS" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "--r", "7", "--n", "3", "--budget", "-5"),
+        ("classes", "--r", "7", "--n", "2", "--budget", "-5"),
+        ("classes", "--r", "7", "--n", "1", "--budget", "0"),
+        ("phitilde", "--r", "7", "--budget", "0"),
+        ("verify", "--suite", "conjectures", "--r", "3", "--n-max", "2", "--budget", "0"),
+        ("verify", "--suite", "lemmas", "--r", "5", "--budget", "-1"),
+        ("matrix", "--r", "5", "--m", "1,1", "--jobs", "0"),
+        ("equiv", "--r", "5", "--m1", "1,1", "--m2", "1,1", "--jobs", "-2"),
+        ("classes", "--r", "7", "--n", "2", "--jobs", "0"),
+        ("phitilde", "--r", "7", "--jobs", "0"),
+        ("verify", "--suite", "lemmas", "--r", "5", "--jobs", "0"),
+    ],
+)
+def test_budget_and_jobs_below_one_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --") and "must be >= 1" in err
 
 
 def test_jobs_flag_parallel_matches_serial(capsys):

@@ -110,6 +110,46 @@ def test_solve_detects_infeasible():
         assert [sum(mv * xv for mv, xv in zip(row, x)) for row in matrix] == c
 
 
+def test_solve_systems_shaped_like_equivalence():
+    # Like the systems of decide_equiv: more columns than rows, all-zero
+    # columns (unknowns no equation uses) and all-zero rows (equations
+    # without unknowns), around a core M = P diag(d) Q with c = P e that
+    # is solvable iff d_i divides e_i for every i.
+    rng = random.Random(4242)
+    for _ in range(80):
+        core_rows = rng.randrange(1, 6)
+        core_cols = rng.randrange(core_rows, core_rows + 4)
+        rows = core_rows + rng.randrange(0, 4)
+        cols = max(rows + 1, core_cols + rng.randrange(1, 4))
+        d = [rng.randrange(0, 7) for _ in range(core_rows)]
+        e = [di * rng.randrange(-5, 6) for di in d]
+        p = random_unimodular(rng, core_rows)
+        diag = [[d[i] if i == j else 0 for j in range(core_cols)] for i in range(core_rows)]
+        core = matmul(matmul(p, diag), random_unimodular(rng, core_cols))
+        row_at = sorted(rng.sample(range(rows), core_rows))
+        col_at = sorted(rng.sample(range(cols), core_cols))
+        matrix = [[0] * cols for _ in range(rows)]
+        c = [0] * rows
+        for ci, i in enumerate(row_at):
+            c[i] = sum(pv * ev for pv, ev in zip(p[ci], e))
+            for cj, j in enumerate(col_at):
+                matrix[i][j] = core[ci][cj]
+        x = solve_diophantine(matrix, c)
+        assert x is not None, (matrix, c)
+        assert [sum(mv * xv for mv, xv in zip(row, x)) for row in matrix] == c
+        assert all(x[j] == 0 for j in range(cols) if j not in col_at)
+        if rows > core_rows:
+            zero_row = rng.choice([i for i in range(rows) if i not in row_at])
+            shifted = c[:zero_row] + [rng.choice([-1, 1])] + c[zero_row + 1:]
+            assert solve_diophantine(matrix, shifted) is None
+        bad = rng.randrange(core_rows)
+        if d[bad] != 1:
+            e[bad] += rng.randrange(1, d[bad]) if d[bad] else rng.choice([-1, 1])
+            for ci, i in enumerate(row_at):
+                c[i] = sum(pv * ev for pv, ev in zip(p[ci], e))
+            assert solve_diophantine(matrix, c) is None, (matrix, c)
+
+
 def test_decide_equiv_equal_matrices():
     x = count_matrix(LensParams(5, (1, 2, 1)))
     decision = decide_equiv(x, x)
