@@ -5,26 +5,33 @@ parameter space is still produced because the matrix is invariant under
 scaling and under changes to the first and last entries. The domain's
 matrices come from one depth-first walk over m_3..m_{n-1} that shares the
 row DP of every common prefix; each distinct matrix keeps its first
-(smallest) vector in itertools.product order. Classification buckets matrices by signature (classes never span buckets), then runs the
-exact solver inside each bucket with a representative-first union-find:
-each matrix is compared against the representatives of the classes found
-so far, joining the first equivalent one. Transitivity makes this exact,
-since representatives are pairwise non-equivalent by construction.
+(smallest) vector in itertools.product order.
+
+One pipeline serves partition_classes, verify_conjectures and
+phitilde_search: matrices are bucketed by signature (classes never span
+buckets), then each bucket runs a representative-first union-find, where
+each matrix joins the first class whose representative it is equivalent
+to. Transitivity makes this exact, since representatives are pairwise
+non-equivalent by construction. A partition must meet the proven lower
+bound, and representatives of different buckets must stay non-equivalent.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
 from .equivalence import decide_equiv
 from .invariants import Signature, lower_bound_classes, window_products
 from .lensgraph import LensParams
 from .numtheory import factorize
-from .pathmatrix import PathMatrix, _normalized_walk, count_matrix
+from .pathmatrix import PathMatrix, _normalized_walk
 
 __all__ = [
     "MatrixRecord",
@@ -40,6 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_VECTOR_BUDGET = 10**7
+# Below this many distinct matrices, starting the bucket pool costs more
+# than the workers save.
+POOL_MIN_RECORDS = 200
 
 
 @dataclass(frozen=True)
@@ -179,8 +189,14 @@ def _bucketize(records: list[MatrixRecord]) -> list[list[MatrixRecord]]:
     return [buckets[key] for key in sorted(buckets)]
 
 
-def _classify_bucket(records: list[MatrixRecord]) -> list[list[int]]:
-    """Indexes of records grouped into classes, representative first."""
+def _classify_bucket(
+    records: list[MatrixRecord], stop_after: int | None = None
+) -> list[list[int]]:
+    """Indexes of records grouped into classes, representative first.
+
+    With stop_after the walk ends as soon as that many classes exist, so
+    the later groups are incomplete.
+    """
     groups: list[list[int]] = []
     for idx, rec in enumerate(records):
         for group in groups:
@@ -189,23 +205,49 @@ def _classify_bucket(records: list[MatrixRecord]) -> list[list[int]]:
                 break
         else:
             groups.append([idx])
+            if len(groups) == stop_after:
+                break
     return groups
 
 
-def _class_records(bucket: list[MatrixRecord], groups: list[list[int]]) -> list[ClassRecord]:
-    out = []
-    for group in groups:
-        rep = bucket[group[0]]
-        out.append(
-            ClassRecord(
-                rep.matrix.m,
-                sum(bucket[i].vector_count for i in group),
-                len(group),
-                rep.signature,
-                _digest(rep.matrix),
-            )
+def _classify(
+    r: int, n: int, budget: int, jobs: int | None, use_signature_buckets: bool
+) -> tuple[list[tuple[MatrixRecord, list[MatrixRecord]]], int]:
+    """The (r, n) classes as (representative, members), sorted by signature
+    and representative vector, with the proven lower bound they meet."""
+    records = _build_records(r, n, budget)
+    buckets = _bucketize(records) if use_signature_buckets else [records]
+    large = len(buckets) > 1 and len(records) >= POOL_MIN_RECORDS
+    if jobs is not None and jobs > 1 and large:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            grouped = list(pool.map(_classify_bucket, buckets, chunksize=1))
+    else:
+        grouped = [_classify_bucket(bucket) for bucket in buckets]
+    classes = sorted(
+        (
+            (bucket[group[0]], [bucket[i] for i in group])
+            for bucket, groups in zip(buckets, grouped)
+            for group in groups
+        ),
+        key=lambda c: (c[0].signature.as_tuple(), c[0].matrix.m),
+    )
+    bound = lower_bound_classes(r, n)
+    if len(classes) < bound:
+        raise InvariantViolationError(
+            f"found {len(classes)} classes for (r={r}, n={n}), below the proven bound {bound}"
         )
-    return out
+    return classes, bound
+
+
+def _check_cross_bucket(pairs: Iterable[tuple[MatrixRecord, MatrixRecord]]) -> None:
+    """Representatives with different signatures must stay non-equivalent;
+    an equivalent pair would falsify the bucketing, so it stops the run."""
+    for a, b in pairs:
+        if a.signature != b.signature and decide_equiv(a.matrix, b.matrix).equivalent:
+            raise InvariantViolationError(
+                f"representatives {a.matrix.m} and {b.matrix.m} are equivalent "
+                f"with different signatures"
+            )
 
 
 def partition_classes(
@@ -219,43 +261,24 @@ def partition_classes(
 
     With use_signature_buckets=False the solver alone produces the
     partition, which is slower but does not rely on the signature being
-    an invariant; the two modes must agree.
+    an invariant; the two modes must agree. With buckets, adjacent classes
+    of different signatures are checked to be non-equivalent.
     """
-    records = _build_records(r, n, budget)
-    buckets = _bucketize(records) if use_signature_buckets else [records]
-    if jobs is not None and jobs > 1 and len(buckets) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            grouped = list(pool.map(_classify_bucket, buckets, chunksize=1))
-    else:
-        grouped = [_classify_bucket(bucket) for bucket in buckets]
-    classes: list[ClassRecord] = []
-    for bucket, groups in zip(buckets, grouped):
-        classes.extend(_class_records(bucket, groups))
-    classes.sort(key=lambda c: (c.signature.as_tuple(), c.representative_m))
-    phi = len(classes)
-    bound = lower_bound_classes(r, n)
-    if phi < bound:
-        raise InvariantViolationError(
-            f"found {phi} classes for (r={r}, n={n}), below the proven bound {bound}"
+    classes, bound = _classify(r, n, budget, jobs, use_signature_buckets)
+    reps = [rep for rep, _ in classes]
+    if use_signature_buckets:
+        _check_cross_bucket(zip(reps, reps[1:]))
+    out = tuple(
+        ClassRecord(
+            rep.matrix.m,
+            sum(member.vector_count for member in members),
+            len(members),
+            rep.signature,
+            _digest(rep.matrix),
         )
-    if use_signature_buckets and len(classes) > 1:
-        _spot_check_cross_bucket(r, classes)
-    return ClassPartition(r, n, phi, bound, tuple(classes))
-
-
-def _spot_check_cross_bucket(r: int, classes: list[ClassRecord]) -> None:
-    """Adjacent sorted classes with different signatures must stay
-    non-equivalent; a failure would falsify the bucketing."""
-    for first, second in zip(classes, classes[1:]):
-        if first.signature == second.signature:
-            continue
-        a = count_matrix(LensParams(r, first.representative_m))
-        b = count_matrix(LensParams(r, second.representative_m))
-        if decide_equiv(a, b).equivalent:
-            raise InvariantViolationError(
-                f"representatives {first.representative_m} and "
-                f"{second.representative_m} are equivalent across buckets"
-            )
+        for rep, members in classes
+    )
+    return ClassPartition(r, n, len(out), bound, out)
 
 
 def phitilde_search(
@@ -270,26 +293,12 @@ def phitilde_search(
     exhausted.
     """
     for n in range(1, n_max + 1):
-        records = _build_records(r, n, budget)
-        buckets = _bucketize(records)
+        buckets = _bucketize(_build_records(r, n, budget))
         if len(buckets) > 1:
             return n
-        if records and _has_second_class(buckets[0]):
+        if buckets and len(_classify_bucket(buckets[0], stop_after=2)) > 1:
             return n
     return NotFoundBelow(n_max)
-
-
-def _has_second_class(records: list[MatrixRecord]) -> bool:
-    reps: list[MatrixRecord] = []
-    for rec in records:
-        for rep in reps:
-            if decide_equiv(rep.matrix, rec.matrix).equivalent:
-                break
-        else:
-            reps.append(rec)
-            if len(reps) > 1:
-                return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -298,8 +307,8 @@ class ConjectureReport:
 
     A None verdict means the check is not claimed for this r (the
     equality conjectures are stated only for r not divisible by 4);
-    the lower-bound inequality is enforced unconditionally inside
-    partition_classes.
+    the lower-bound inequality is enforced unconditionally by the shared
+    pipeline.
     """
 
     r: int
@@ -353,66 +362,39 @@ def verify_conjectures(
     class and all cross-bucket representative pairs are non-equivalent;
     (b) phi equals the closed-form product; (c) all classes have the
     same number of members (vectors measure decides; the matrices
-    measure is reported separately).
+    measure is reported separately). When 4 | r the three are not
+    claimed and, as in partition_classes, only adjacent classes are
+    checked across buckets.
     """
-    partition = partition_classes(r, n, budget, jobs)
-    classes = partition.classes
-    bucket_sizes: dict[tuple, int] = {}
-    for c in classes:
-        key = c.signature.as_tuple()
-        bucket_sizes[key] = bucket_sizes.get(key, 0) + 1
-    buckets = len(bucket_sizes)
-    details: list[str] = []
-    restricted = r % 4 != 0
-    signature_iff: bool | None = None
-    counts_match: bool | None = None
-    equal_vectors: bool | None = None
-    equal_matrices: bool | None = None
-    if restricted:
-        signature_iff = all(v == 1 for v in bucket_sizes.values())
-        if not signature_iff:
-            split = [k for k, v in bucket_sizes.items() if v > 1]
-            details.append(f"buckets with more than one class: {split}")
-        _assert_cross_bucket_reps(r, classes)
-        counts_match = partition.phi == partition.lower_bound
-        if not counts_match:
-            details.append(
-                f"phi = {partition.phi} differs from the product {partition.lower_bound}"
-            )
-        vec_sizes = {c.size for c in classes}
-        mat_sizes = {c.size_matrices for c in classes}
-        equal_vectors = len(vec_sizes) <= 1
-        equal_matrices = len(mat_sizes) <= 1
-        if not equal_vectors:
-            details.append(f"class sizes over vectors differ: {sorted(vec_sizes)}")
-        if not equal_matrices:
-            details.append(f"class sizes over matrices differ: {sorted(mat_sizes)}")
+    classes, bound = _classify(r, n, budget, jobs, True)
+    reps = [rep for rep, _ in classes]
+    phi = len(reps)
+    buckets = Counter(rep.signature.as_tuple() for rep in reps)
+    if r % 4 == 0:
+        _check_cross_bucket(zip(reps, reps[1:]))
+        return ConjectureReport(r, n, phi, bound, len(buckets), None, None, None, None, ())
+    _check_cross_bucket(itertools.combinations(reps, 2))
+    split = [key for key, count in buckets.items() if count > 1]
+    vec_sizes = sorted({sum(m.vector_count for m in members) for _, members in classes})
+    mat_sizes = sorted({len(members) for _, members in classes})
+    details = []
+    if split:
+        details.append(f"buckets with more than one class: {split}")
+    if phi != bound:
+        details.append(f"phi = {phi} differs from the product {bound}")
+    if len(vec_sizes) > 1:
+        details.append(f"class sizes over vectors differ: {vec_sizes}")
+    if len(mat_sizes) > 1:
+        details.append(f"class sizes over matrices differ: {mat_sizes}")
     return ConjectureReport(
         r,
         n,
-        partition.phi,
-        partition.lower_bound,
-        buckets,
-        signature_iff,
-        counts_match,
-        equal_vectors,
-        equal_matrices,
-        tuple(details),
+        phi,
+        bound,
+        len(buckets),
+        signature_iff=not split,
+        counts_match=phi == bound,
+        equal_sizes_vectors=len(vec_sizes) <= 1,
+        equal_sizes_matrices=len(mat_sizes) <= 1,
+        details=tuple(details),
     )
-
-
-def _assert_cross_bucket_reps(r: int, classes: tuple[ClassRecord, ...]) -> None:
-    """All representative pairs from different buckets must be
-    non-equivalent; equivalence here would falsify the necessity of the
-    signature, so it stops the run."""
-    mats = [count_matrix(LensParams(r, c.representative_m)) for c in classes]
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if classes[i].signature == classes[j].signature:
-                continue
-            if decide_equiv(mats[i], mats[j]).equivalent:
-                raise InvariantViolationError(
-                    f"representatives {classes[i].representative_m} and "
-                    f"{classes[j].representative_m} are equivalent with "
-                    f"different signatures"
-                )

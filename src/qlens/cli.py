@@ -15,6 +15,7 @@ import sys
 
 from .classify import (
     DEFAULT_VECTOR_BUDGET,
+    POOL_MIN_RECORDS,
     NotFoundBelow,
     partition_classes,
     phitilde_search,
@@ -32,7 +33,7 @@ from .errors import (
 from .invariants import check_divisibility, congruence_main, phitilde_formula
 from .lensgraph import LensParams
 from .numtheory import factorize
-from .pathmatrix import count_matrix, poly_1to6
+from .pathmatrix import POOL_MIN_ROW_STEPS, count_matrix, poly_1to6
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -280,7 +281,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         p.add_argument("--format", choices=formats, default="plain")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
-        p.add_argument("--jobs", type=int, default=None, help="worker count")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help="worker processes (default: QLENS_JOBS or the CPU count), started only"
+            f" by matrix and equiv at r*n^2 >= {POOL_MIN_ROW_STEPS} and by classes and"
+            f" verify at >= {POOL_MIN_RECORDS} distinct matrices; phitilde ignores it",
+        )
 
     p_matrix = sub.add_parser("matrix", help="print the path-counting matrix")
     p_matrix.add_argument("--r", type=int, required=True)

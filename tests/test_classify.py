@@ -2,10 +2,13 @@
 
 import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
-from qlens.errors import BudgetExceededError, InvalidParamsError
+import qlens.classify
+from qlens.errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
 from qlens.classify import (
     DEFAULT_VECTOR_BUDGET,
     ClassPartition,
@@ -17,7 +20,7 @@ from qlens.classify import (
     _build_records,
 )
 from qlens.equivalence import decide_equiv
-from qlens.invariants import lower_bound_classes, phitilde_formula
+from qlens.invariants import lower_bound_classes, phitilde_formula, signature
 from qlens.lensgraph import LensParams
 from qlens.pathmatrix import _normalized_walk, count_matrix
 
@@ -115,18 +118,30 @@ def test_partition_classes_sorted_and_bounded():
 
 
 def test_partition_bucketing_matches_plain_solver():
-    # the signature buckets must never change the partition
+    # the signature buckets must never change the partition; the keywords
+    # are those of the benchmark's reference run
     for r, n in [(3, 6), (5, 6), (6, 6), (9, 6), (3, 5), (5, 5), (6, 5), (9, 5)]:
         bucketed = partition_classes(r, n)
-        plain = partition_classes(r, n, use_signature_buckets=False)
+        plain = partition_classes(r, n, jobs=2, use_signature_buckets=False)
         assert bucketed.to_json() == plain.to_json(), (r, n)
 
 
-def test_partition_parallel_deterministic():
-    serial = partition_classes(9, 5)
-    parallel = partition_classes(9, 5, jobs=2)
+def test_partition_parallel_deterministic(monkeypatch):
+    # (5, 7) has 244 distinct matrices in 5 buckets, above the pool's gate
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    serial = partition_classes(5, 7)
+    assert len(_build_records(5, 7, DEFAULT_VECTOR_BUDGET)) >= qlens.classify.POOL_MIN_RECORDS
+    monkeypatch.setattr(qlens.classify, "ProcessPoolExecutor", RecordingPool)
+    parallel = partition_classes(5, 7, jobs=2)
+    assert started == [{"max_workers": 2}]
     assert serial.to_json() == parallel.to_json()
-    again = partition_classes(9, 5, jobs=2)
+    again = partition_classes(5, 7, jobs=2)
     assert parallel.to_json() == again.to_json()
 
 
@@ -196,3 +211,38 @@ def test_verify_conjectures_json():
     report = verify_conjectures(5, 5)
     payload = report.to_json()
     assert '"phi"' in payload and '"signature_iff"' in payload
+
+
+def _equivalent_across_signatures(monkeypatch):
+    """Make the solver call every pair with different signatures equivalent."""
+    real = decide_equiv
+
+    def fake(a, b):
+        if signature(LensParams(a.r, a.m)) != signature(LensParams(b.r, b.m)):
+            return SimpleNamespace(equivalent=True)
+        return real(a, b)
+
+    monkeypatch.setattr(qlens.classify, "decide_equiv", fake)
+
+
+def test_cross_bucket_check_fires(monkeypatch):
+    _equivalent_across_signatures(monkeypatch)
+    with pytest.raises(InvariantViolationError, match="representatives .* are equivalent"):
+        partition_classes(5, 6)
+    with pytest.raises(InvariantViolationError, match="representatives .* are equivalent"):
+        verify_conjectures(5, 6)
+
+
+def test_verify_conjectures_solves_each_pair_once(monkeypatch):
+    pairs = []
+
+    def recording(a, b):
+        pairs.append(frozenset((a.m, b.m)))
+        return decide_equiv(a, b)
+
+    monkeypatch.setattr(qlens.classify, "decide_equiv", recording)
+    report = verify_conjectures(5, 6)
+    assert report.passed
+    # 4 buckets: the cross-bucket check alone makes 6 calls
+    assert len(pairs) >= 6
+    assert len(set(pairs)) == len(pairs)

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import qlens
+import qlens.classify
+import qlens.pathmatrix
 from qlens.classify import ClassPartition, partition_classes
 from qlens.cli import main
 from qlens.equivalence import Witness, verify_witness
@@ -258,6 +260,43 @@ def test_jobs_flag_parallel_matches_serial(capsys):
     )
     assert code == 0
     assert serial == parallel
+
+
+def test_small_inputs_start_no_pool(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(qlens.pathmatrix, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(qlens.classify, "ProcessPoolExecutor", refuse)
+    m = tuple(range(1, 17))
+    assert count_matrix(LensParams(17, m), jobs=2) == count_matrix(LensParams(17, m))
+    assert partition_classes(3, 7, jobs=2) == partition_classes(3, 7)
+    scaled = ",".join(str(3 * v % 17) for v in m)
+    code, out, _ = run(
+        capsys,
+        "equiv", "--r", "17", "--m1", ",".join(map(str, m)), "--m2", scaled, "--jobs", "2",
+    )
+    assert code == 0
+    assert out.startswith("Equivalent")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--r", "5", "--m", "1,2,1", "--format", "csv"),
+        ("equiv", "--r", "3", "--m1", "1,1,1,1", "--m2", "1,2,1,1", "--format", "json"),
+        ("classes", "--r", "5", "--n", "6", "--format", "json"),
+        ("phitilde", "--r", "5", "--format", "json"),
+        ("verify", "--suite", "conjectures", "--r", "3,4", "--n-max", "5"),
+        ("verify", "--suite", "lemmas", "--r", "5", "--format", "json"),
+    ],
+)
+def test_every_command_accepts_jobs_1(capsys, monkeypatch, argv):
+    # The benchmark harness appends --jobs 1 to every command it runs in process.
+    monkeypatch.delenv("QLENS_JOBS", raising=False)
+    default = run(capsys, *argv)
+    assert run(capsys, *argv, "--jobs", "1") == default
+    assert default[0] in (0, 1)
 
 
 def test_unknown_command_exits_2():

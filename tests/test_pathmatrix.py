@@ -5,9 +5,11 @@ import io
 import json
 import math
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import qlens.pathmatrix
 from qlens.errors import (
     BadModulusError,
     DimensionMismatchError,
@@ -113,10 +115,24 @@ def test_count_matrix_submatrix_consistency():
                 assert mat.entry(a, b) == sub.entry(a - i + 1, b - i + 1)
 
 
-def test_count_matrix_parallel_matches_serial():
-    p = LensParams(9, (1, 2, 4, 1, 5, 7))
-    assert count_matrix(p, jobs=2) == count_matrix(p)
-    assert count_matrix(p, jobs=1) == count_matrix(p)
+def test_count_matrix_parallel_matches_serial(monkeypatch):
+    # r * n^2 = 1009 * 32^2 is above the row pool's gate
+    rng = random.Random(1009)
+    p = LensParams(1009, tuple(rng.choice(units_of(1009)) for _ in range(32)))
+    assert p.r * p.n**2 >= qlens.pathmatrix.POOL_MIN_ROW_STEPS
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    serial = count_matrix(p)
+    monkeypatch.setattr(qlens.pathmatrix, "ProcessPoolExecutor", RecordingPool)
+    assert count_matrix(p, jobs=2) == serial
+    assert started == [{"max_workers": 2}]
+    assert count_matrix(p, jobs=1) == serial
+    assert len(started) == 1
 
 
 def test_closed_form_examples():
