@@ -19,6 +19,7 @@ from qlens.classify import (
     verify_conjectures,
     _build_records,
 )
+from qlens.cli import main
 from qlens.equivalence import decide_equiv
 from qlens.invariants import lower_bound_classes, phitilde_formula, signature
 from qlens.lensgraph import LensParams
@@ -213,24 +214,19 @@ def test_verify_conjectures_json():
     assert '"phi"' in payload and '"signature_iff"' in payload
 
 
-def _equivalent_across_signatures(monkeypatch):
-    """Make the solver call every pair with different signatures equivalent."""
-    real = decide_equiv
-
+def test_cross_bucket_check_fires(monkeypatch):
+    # a solver that calls every pair with different signatures equivalent
     def fake(a, b):
         if signature(LensParams(a.r, a.m)) != signature(LensParams(b.r, b.m)):
             return SimpleNamespace(equivalent=True)
-        return real(a, b)
+        return decide_equiv(a, b)
 
     monkeypatch.setattr(qlens.classify, "decide_equiv", fake)
-
-
-def test_cross_bucket_check_fires(monkeypatch):
-    _equivalent_across_signatures(monkeypatch)
     with pytest.raises(InvariantViolationError, match="representatives .* are equivalent"):
         partition_classes(5, 6)
     with pytest.raises(InvariantViolationError, match="representatives .* are equivalent"):
         verify_conjectures(5, 6)
+    assert main(["classes", "--r", "5", "--n", "6"]) == 4
 
 
 def test_verify_conjectures_solves_each_pair_once(monkeypatch):
