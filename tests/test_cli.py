@@ -252,11 +252,15 @@ def test_budget_and_jobs_below_one_exit_2(capsys, argv):
 
 
 def test_jobs_flag_parallel_matches_serial(capsys):
-    code, serial, _ = run(capsys, "classes", "--r", "9", "--n", "5", "--format", "json")
+    # (5, 7) has 244 distinct matrices, enough for the bucket pool
+    code, serial, _ = run(
+        capsys,
+        "classes", "--r", "5", "--n", "7", "--format", "json", "--jobs", "1",
+    )
     assert code == 0
     code, parallel, _ = run(
         capsys,
-        "classes", "--r", "9", "--n", "5", "--format", "json", "--jobs", "2",
+        "classes", "--r", "5", "--n", "7", "--format", "json", "--jobs", "2",
     )
     assert code == 0
     assert serial == parallel
