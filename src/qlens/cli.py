@@ -44,11 +44,11 @@ EXIT_MISMATCH = 4
 LEMMA_SAMPLES = 10
 
 
-def _parse_m(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InvalidParamsError(f"cannot parse m vector {text!r}: {exc}") from None
+        raise InvalidParamsError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
 def _default_jobs() -> int:
@@ -77,7 +77,7 @@ def _rows_compact(entries) -> str:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    params = LensParams(args.r, _parse_m(args.m))
+    params = LensParams(args.r, _parse_ints(args.m, "m vector"))
     matrix = count_matrix(params, jobs=args.jobs)
     if args.format == "json":
         _emit(matrix.to_json(), args.output)
@@ -89,8 +89,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    a = count_matrix(LensParams(args.r, _parse_m(args.m1)), jobs=args.jobs)
-    b = count_matrix(LensParams(args.r, _parse_m(args.m2)), jobs=args.jobs)
+    a = count_matrix(LensParams(args.r, _parse_ints(args.m1, "m vector")), jobs=args.jobs)
+    b = count_matrix(LensParams(args.r, _parse_ints(args.m2, "m vector")), jobs=args.jobs)
     decision = decide_equiv(a, b)
     if args.format == "json":
         payload: dict = {"equivalent": decision.equivalent, "reason": decision.reason}
@@ -221,7 +221,7 @@ def _lemma_checks(r: int, rng: random.Random) -> tuple[list[str], list[str]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    r_values = [int(part) for part in args.r.split(",")]
+    r_values = _parse_ints(args.r, "--r list")
     if args.suite == "lemmas":
         rng = random.Random(args.seed)
         lines: list[str] = []
@@ -335,9 +335,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs is None:
             args.jobs = _default_jobs()
-        for flag in ("jobs", "budget"):
+        for flag in ("jobs", "budget", "n_max"):
             if getattr(args, flag, 1) < 1:
-                raise InvalidParamsError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+                raise InvalidParamsError(
+                    f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}"
+                )
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,8 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import (
@@ -35,7 +37,14 @@ __all__ = [
 ]
 
 # Fewest row steps (r * n^2) for which the row pool of count_matrix pays.
-POOL_MIN_ROW_STEPS = 10**6
+# On 2 CPUs (median of 5, jobs=2 against serial) the pool broke even at
+# (1009, 32), 1.03 * 10^6 steps, and won from (1511, 40), 2.42 * 10^6 steps.
+POOL_MIN_ROW_STEPS = 2_400_000
+# Indexes of the gathers one _normalized_walk keeps, 8 bytes each. This holds
+# every gather at r = 35, 55 and 211 (phi(r) * r <= 44,310). A table of all
+# phi(r) gathers would hold 4 * 10^6 indexes at r = 2003: 31 MiB, built for
+# 0.44 s before the first vector, where the capped walk peaks at 0.84 MiB.
+GATHER_CACHE_INDEXES = 2**16
 
 
 @dataclass(frozen=True)
@@ -142,27 +151,61 @@ def _normalized_walk(
     state whatever m_i is. A depth-first walk over the free positions
     carries each row's state down the tree, so work on a shared prefix is
     done once; the last column needs only the sums of the advanced states.
+
+    Every state at a node was last advanced by the node's last shift f,
+    and a fresh row's start state reads the same in any order, so each
+    state is kept in the f-cycle frame s[k] = g[k*f mod r]: the prefix sums
+    that _advance built, in the order it built them. Advancing by u is then
+    a gather of s with stride w = u * f^-1 mod r followed by a prefix sum,
+    which yields the new state in the u-cycle frame; both run in C
+    (itemgetter, accumulate), and the gather is built once per (node, u)
+    and shared by every row of the node. The last column takes only
+    sum(accumulate(gather(s))), so its states are never built.
+
+    Gathers are cached per walk up to GATHER_CACHE_INDEXES indexes and
+    built for each use past that, so the walk's extra memory does not grow
+    with r. count_matrix keeps the scalar _advance: each of its steps is
+    made once per row, so a gather built per step costs more than the loop,
+    and a prebuilt table of them costs more memory than the matrix.
     """
     start = [0] + [1] * (r - 1)
     pads = [(0,) * i for i in range(n)]
+    # Gathers point into one list of index ints, so a cached gather costs
+    # a pointer per index rather than an int object per index.
+    ints = list(range(r))
+    gathers: dict[int, itemgetter] = {}
+    keep = GATHER_CACHE_INDEXES // r
+
+    def gather(w):
+        g = gathers.get(w)
+        if g is None:
+            g = itemgetter(*[ints[k % r] for k in range(0, r * w, w)])
+            if len(gathers) < keep:
+                gathers[w] = g
+        return g
 
     def descend(m, rows, states):
         # rows[i] holds row i+1 up to column len(m), states[i] its state
-        # after subgraph len(m); the new rows extend them to column len(m)+1.
+        # after subgraph len(m) in the m[-1]-cycle frame; the new rows
+        # extend them to column len(m)+1.
         k = len(m)
-        rows = [row + (row[-1] + sum(f),) for row, f in zip(rows, states)]
+        rows = [row + (row[-1] + sum(s),) for row, s in zip(rows, states)]
         choices = units if k >= 2 else (1,)
+        f_inv = mod_inverse(m[-1], r)
         if k == n - 2:
+            heads = [pads[i] + row for i, row in enumerate(rows)]
             tail = (pads[k] + (1, r), pads[k + 1] + (1,))
             for u in choices:
+                g = gather(u * f_inv % r)
                 yield m + (u, 1), tuple(
-                    pads[i] + row + (row[-1] + sum(_advance(r, f, u)),)
-                    for i, (row, f) in enumerate(zip(rows, states))
+                    head + (head[-1] + sum(accumulate(g(s))),)
+                    for head, s in zip(heads, states)
                 ) + tail
             return
         rows.append((1,))
         for u in choices:
-            yield from descend(m + (u,), rows, [_advance(r, f, u) for f in states] + [start])
+            g = gather(u * f_inv % r)
+            yield from descend(m + (u,), rows, [list(accumulate(g(s))) for s in states] + [start])
 
     if n <= 2:
         yield (1,) * n, count_matrix(LensParams(r, (1,) * n)).entries

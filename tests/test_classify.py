@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import pytest
 
 import qlens.classify
+import qlens.pathmatrix
 from qlens.errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
 from qlens.classify import (
     DEFAULT_VECTOR_BUDGET,
@@ -71,9 +73,8 @@ def test_enumerate_matrices_rejects_bad_n():
         enumerate_matrices(5, 0)
 
 
-def test_normalized_walk_matches_count_matrix():
-    cases = [(21, 7), (8, 8), (5, 7)] + [(r, n) for r in (3, 4, 12) for n in range(1, 5)]
-    for r, n in cases:
+def test_normalized_walk_matches_count_matrix(monkeypatch):
+    def check(r, n):
         units = [u for u in range(1, r) if math.gcd(u, r) == 1]
         if n >= 3:
             vectors = [(1, 1) + mid + (1,) for mid in itertools.product(units, repeat=n - 3)]
@@ -85,6 +86,30 @@ def test_normalized_walk_matches_count_matrix():
             assert entries == count_matrix(LensParams(r, vec)).entries, (r, vec)
         records = _build_records(r, n, DEFAULT_VECTOR_BUDGET)
         assert sum(rec.vector_count for rec in records) == len(vectors), (r, n)
+
+    # (13, 6) and (55, 5) reach one depth through nodes of different last
+    # shifts, so one u is gathered with several strides
+    cases = [(21, 7), (8, 8), (5, 7), (13, 6), (55, 5)]
+    for r, n in cases + [(r, n) for r in (3, 4, 12) for n in range(1, 5)]:
+        check(r, n)
+    # room for three gathers: the others are built for each use
+    for r, n in cases[1:]:
+        monkeypatch.setattr(qlens.pathmatrix, "GATHER_CACHE_INDEXES", 3 * r)
+        check(r, n)
+
+
+def test_normalized_walk_memory_is_bounded():
+    # a table of all 2002 gathers at r = 2003 would hold 4 * 10^6 indexes
+    r = 2003
+    walk = _normalized_walk(r, 4, list(range(1, r)))
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(walk, 400):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_partition_r3_n4():

@@ -242,13 +242,23 @@ def test_jobs_env_invalid(capsys, monkeypatch):
         ("classes", "--r", "7", "--n", "2", "--jobs", "0"),
         ("phitilde", "--r", "7", "--jobs", "0"),
         ("verify", "--suite", "lemmas", "--r", "5", "--jobs", "0"),
+        ("phitilde", "--r", "7", "--n-max", "0"),
+        ("verify", "--suite", "conjectures", "--r", "5", "--n-max", "0"),
     ],
 )
 def test_budget_and_jobs_below_one_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --") and "must be >= 1" in err
+    assert err.startswith(f"error: {argv[-2]} must be >= 1")
+
+
+def test_verify_unparsable_r_list(capsys):
+    for suite in ("conjectures", "lemmas"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--r", "5,x")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse --r list '5,x'")
 
 
 def test_jobs_flag_parallel_matches_serial(capsys):

@@ -116,9 +116,9 @@ def test_count_matrix_submatrix_consistency():
 
 
 def test_count_matrix_parallel_matches_serial(monkeypatch):
-    # r * n^2 = 1009 * 32^2 is above the row pool's gate
-    rng = random.Random(1009)
-    p = LensParams(1009, tuple(rng.choice(units_of(1009)) for _ in range(32)))
+    # r * n^2 = 2003 * 48^2 is above the row pool's gate
+    rng = random.Random(2003)
+    p = LensParams(2003, tuple(rng.choice(units_of(2003)) for _ in range(48)))
     assert p.r * p.n**2 >= qlens.pathmatrix.POOL_MIN_ROW_STEPS
     started = []
 
