@@ -23,7 +23,7 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
@@ -80,27 +80,7 @@ class ClassPartition:
     classes: tuple[ClassRecord, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r": self.r,
-                "n": self.n,
-                "phi": self.phi,
-                "lower_bound": self.lower_bound,
-                "classes": [
-                    {
-                        "representative_m": list(c.representative_m),
-                        "size": c.size,
-                        "size_matrices": c.size_matrices,
-                        "signature": {
-                            "primes": list(c.signature.primes),
-                            "windows": [list(w) for w in c.signature.windows],
-                        },
-                        "matrix_digest": c.matrix_digest,
-                    }
-                    for c in self.classes
-                ],
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "ClassPartition":
@@ -334,20 +314,7 @@ class ConjectureReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r": self.r,
-                "n": self.n,
-                "phi": self.phi,
-                "lower_bound": self.lower_bound,
-                "buckets": self.buckets,
-                "signature_iff": self.signature_iff,
-                "counts_match": self.counts_match,
-                "equal_sizes_vectors": self.equal_sizes_vectors,
-                "equal_sizes_matrices": self.equal_sizes_matrices,
-                "details": list(self.details),
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def verify_conjectures(

@@ -1,7 +1,8 @@
 """Command-line interface exposing matrices, equivalence, classes, and checks.
 
 Exit codes form the contract: 0 success or Equivalent, 1 NotEquivalent,
-2 invalid input, 3 budget exceeded, 4 verification mismatch.
+2 invalid input or an unwritable --output, 3 budget exceeded or out of
+memory, 4 verification mismatch.
 """
 
 import argparse
@@ -12,10 +13,12 @@ import math
 import os
 import random
 import sys
+from dataclasses import asdict, fields
 
 from .classify import (
     DEFAULT_VECTOR_BUDGET,
     POOL_MIN_RECORDS,
+    ClassRecord,
     NotFoundBelow,
     partition_classes,
     phitilde_search,
@@ -24,7 +27,6 @@ from .classify import (
 from .equivalence import decide_equiv
 from .errors import (
     BudgetExceededError,
-    InputError,
     InvalidParamsError,
     InvariantViolationError,
     NonIntegerResultError,
@@ -67,9 +69,12 @@ def _default_jobs() -> int:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    except OSError as exc:
+        raise InvalidParamsError(f"cannot write {output}: {exc.strerror}") from None
 
 
 def _rows_compact(entries) -> str:
@@ -93,19 +98,9 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     b = count_matrix(LensParams(args.r, _parse_ints(args.m2, "m vector")), jobs=args.jobs)
     decision = decide_equiv(a, b)
     if args.format == "json":
-        payload: dict = {"equivalent": decision.equivalent, "reason": decision.reason}
+        payload = asdict(decision)
         payload["witness"] = (
             json.loads(decision.witness.to_json()) if decision.witness else None
-        )
-        payload["obstruction"] = (
-            {
-                "k": decision.obstruction.k,
-                "position": list(decision.obstruction.position),
-                "lhs_residue": decision.obstruction.lhs_residue,
-                "rhs_residue": decision.obstruction.rhs_residue,
-            }
-            if decision.obstruction
-            else None
         )
         _emit(json.dumps(payload, separators=(",", ":")), args.output)
     else:
@@ -126,9 +121,7 @@ def cmd_classes(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            ["representative_m", "size", "size_matrices", "signature", "matrix_digest"]
-        )
+        writer.writerow(field.name for field in fields(ClassRecord))
         for cls in part.classes:
             writer.writerow(
                 [
@@ -254,7 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
     all_passed = all(report.passed for report in reports)
     if args.format == "json":
-        payload = [json.loads(report.to_json()) for report in reports]
+        payload = [asdict(report) for report in reports]
         _emit(json.dumps(payload, separators=(",", ":")), args.output)
     else:
         lines = []
@@ -350,9 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolationError, NonIntegerResultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except QlensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

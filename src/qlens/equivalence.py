@@ -201,6 +201,18 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
     return tuple(y)
 
 
+def _noncorner_gcd(a: IntMatrix, b: IntMatrix) -> int:
+    """gcd of every strictly-upper entry of a and b except the corner (1, n)."""
+    n = len(a)
+    d = 0
+    for entries in (a, b):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i, j) != (0, n - 1):
+                    d = math.gcd(d, entries[i][j])
+    return d
+
+
 def obstruction_mod_k(A, B, k: int) -> CornerObstruction | None:
     """Corner obstruction of the pair (A, B) at modulus k, when present.
 
@@ -216,15 +228,8 @@ def obstruction_mod_k(A, B, k: int) -> CornerObstruction | None:
     n = len(a)
     if len(b) != n:
         raise DimensionMismatchError("matrices must have equal dimensions")
-    if n < 2:
+    if n < 2 or _noncorner_gcd(a, b) % k:
         return None
-    for entries in (a, b):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) == (0, n - 1):
-                    continue
-                if entries[i][j] % k:
-                    return None
     lhs = a[0][n - 1] % k
     rhs = b[0][n - 1] % k
     if lhs == rhs:
@@ -242,14 +247,7 @@ def _best_corner_obstruction(a: IntMatrix, b: IntMatrix) -> CornerObstruction | 
     the corners disagree, the smallest such prime first.
     """
     n = len(a)
-    if n < 3:
-        return None
-    d = 0
-    for entries in (a, b):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) != (0, n - 1):
-                    d = math.gcd(d, entries[i][j])
+    d = _noncorner_gcd(a, b)
     if d < 2:
         return None
     diff = a[0][n - 1] - b[0][n - 1]

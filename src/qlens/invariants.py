@@ -9,7 +9,7 @@ constraints that force the shape of every path matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import prod
 
 from .errors import BadModulusError, HypothesisUnmetError, InvalidParamsError, InvariantViolationError
@@ -45,9 +45,7 @@ class Signature:
         return (self.primes, self.windows)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"primes": list(self.primes), "windows": [list(w) for w in self.windows]}
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "Signature":

@@ -210,6 +210,80 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert PathMatrix.from_json(target.read_text()).entry(1, 3) == 15
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--r", "5", "--m", "1,2,1"),
+        ("equiv", "--r", "5", "--m1", "1,1,1", "--m2", "1,2,1"),
+        ("classes", "--r", "3", "--n", "4"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exit_2(capsys, tmp_path, argv, where):
+    target = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+# Exact bytes, so that key order, separators and CSV line endings stay fixed.
+PINNED_OUTPUTS = [
+    (
+        ("classes", "--r", "3", "--n", "4", "--format", "json"),
+        '{"r": 3, "n": 4, "phi": 2, "lower_bound": 2, "classes": ['
+        '{"representative_m": [1, 1, 1, 1], "size": 1, "size_matrices": 1,'
+        ' "signature": {"primes": [3], "windows": [[1]]},'
+        ' "matrix_digest": "1,3,6,10;0,1,3,6;0,0,1,3;0,0,0,1"},'
+        ' {"representative_m": [1, 1, 2, 1], "size": 1, "size_matrices": 1,'
+        ' "signature": {"primes": [3], "windows": [[2]]},'
+        ' "matrix_digest": "1,3,6,11;0,1,3,6;0,0,1,3;0,0,0,1"}]}\n',
+    ),
+    (
+        ("classes", "--r", "3", "--n", "4", "--format", "csv"),
+        "representative_m,size,size_matrices,signature,matrix_digest\r\n"
+        '"1,1,1,1",1,1,"[[3], [[1]]]","1,3,6,10;0,1,3,6;0,0,1,3;0,0,0,1"\r\n'
+        '"1,1,2,1",1,1,"[[3], [[2]]]","1,3,6,11;0,1,3,6;0,0,1,3;0,0,0,1"\r\n',
+    ),
+    (
+        ("verify", "--suite", "conjectures", "--r", "3", "--n-max", "4", "--format", "json"),
+        "["
+        + ",".join(
+            f'{{"r":3,"n":{n},"phi":{phi},"lower_bound":{phi},"buckets":{phi},'
+            '"signature_iff":true,"counts_match":true,"equal_sizes_vectors":true,'
+            '"equal_sizes_matrices":true,"details":[]}'
+            for n, phi in ((1, 1), (2, 1), (3, 1), (4, 2))
+        )
+        + "]\n",
+    ),
+    (
+        ("equiv", "--r", "3", "--m1", "1,1,1,1", "--m2", "1,2,1,1", "--format", "json"),
+        '{"equivalent":false,"reason":"corner entries at (1, 4) differ modulo 3: 1 vs 2",'
+        '"witness":null,'
+        '"obstruction":{"k":3,"position":[1,4],"lhs_residue":1,"rhs_residue":2}}\n',
+    ),
+    (
+        ("equiv", "--r", "5", "--m1", "1,1,1", "--m2", "1,2,1", "--format", "json"),
+        '{"equivalent":true,"reason":"matrices are equal",'
+        '"witness":{"U":[["1","0","0"],["0","1","0"],["0","0","1"]],'
+        '"V":[["1","0","0"],["0","1","0"],["0","0","1"]]},"obstruction":null}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    PINNED_OUTPUTS,
+    ids=["classes-json", "classes-csv", "verify-json", "equiv-obstruction", "equiv-witness"],
+)
+def test_output_bytes_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == (1 if '"equivalent":false' in expected else 0)
+    assert out == expected
+    assert err == ""
+
+
 def test_jobs_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QLENS_JOBS", "1")
     code, out, _ = run(capsys, "matrix", "--r", "5", "--m", "1,2,1")
