@@ -57,7 +57,9 @@ class MatrixRecord:
     """One distinct matrix (its m is the smallest producing vector), its
     signature, and how many normalized vectors produce it."""
 
-    matrix: PathMatrix
+    r: int
+    m: tuple[int, ...]
+    entries: tuple[tuple[int, ...], ...]
     signature: Signature
     vector_count: int
 
@@ -114,10 +116,6 @@ class NotFoundBelow:
     n_max: int
 
 
-def _digest(matrix: PathMatrix) -> str:
-    return ";".join(",".join(str(v) for v in row) for row in matrix.entries)
-
-
 def _build_records(r: int, n: int, budget: int) -> list[MatrixRecord]:
     """Distinct matrices in lexicographic first-occurrence order.
 
@@ -136,20 +134,23 @@ def _build_records(r: int, n: int, budget: int) -> list[MatrixRecord]:
                 f"enumeration needs {total} vectors, exceeding the budget of {budget}"
             )
     primes = tuple(p for p, _ in factorize(r).odd_primes)
-    by_entries: dict[tuple[tuple[int, ...], ...], list] = {}
+    # entries -> (first vector, its windows); counts key on that short vector
+    first: dict[tuple[tuple[int, ...], ...], tuple] = {}
+    counts: Counter = Counter()
     for vec, entries in _normalized_walk(r, n, units):
         windows = window_products(primes, vec)
-        slot = by_entries.get(entries)
-        if slot is None:
-            by_entries[entries] = [PathMatrix(r, vec, entries), Signature(primes, windows), 1]
-        elif slot[1].windows != windows:
+        seen = first.setdefault(entries, (vec, windows))
+        if seen[1] != windows:
             raise InvariantViolationError(
-                f"vectors {slot[0].m} and {vec} share a matrix but disagree "
+                f"vectors {seen[0]} and {vec} share a matrix but disagree "
                 f"on the signature"
             )
-        else:
-            slot[2] += 1
-    return [MatrixRecord(*slot) for slot in by_entries.values()]
+        counts[seen[0]] += 1
+    signatures = {w: Signature(primes, w) for w in {w for _, w in first.values()}}
+    return [
+        MatrixRecord(r, vec, entries, signatures[windows], counts[vec])
+        for entries, (vec, windows) in first.items()
+    ]
 
 
 def enumerate_matrices(
@@ -157,7 +158,7 @@ def enumerate_matrices(
 ) -> list[tuple[LensParams, PathMatrix]]:
     """All distinct matrices for (r, n), with smallest producing vectors."""
     return [
-        (LensParams(r, rec.matrix.m), rec.matrix)
+        (LensParams(r, rec.m), PathMatrix(r, rec.m, rec.entries))
         for rec in _build_records(r, n, budget)
     ]
 
@@ -180,7 +181,7 @@ def _classify_bucket(
     groups: list[list[int]] = []
     for idx, rec in enumerate(records):
         for group in groups:
-            if decide_equiv(records[group[0]].matrix, rec.matrix).equivalent:
+            if decide_equiv(records[group[0]], rec).equivalent:
                 group.append(idx)
                 break
         else:
@@ -209,7 +210,7 @@ def _classify(
             for bucket, groups in zip(buckets, grouped)
             for group in groups
         ),
-        key=lambda c: (c[0].signature.as_tuple(), c[0].matrix.m),
+        key=lambda c: (c[0].signature.as_tuple(), c[0].m),
     )
     bound = lower_bound_classes(r, n)
     if len(classes) < bound:
@@ -223,9 +224,9 @@ def _check_cross_bucket(pairs: Iterable[tuple[MatrixRecord, MatrixRecord]]) -> N
     """Representatives with different signatures must stay non-equivalent;
     an equivalent pair would falsify the bucketing, so it stops the run."""
     for a, b in pairs:
-        if a.signature != b.signature and decide_equiv(a.matrix, b.matrix).equivalent:
+        if a.signature != b.signature and decide_equiv(a, b).equivalent:
             raise InvariantViolationError(
-                f"representatives {a.matrix.m} and {b.matrix.m} are equivalent "
+                f"representatives {a.m} and {b.m} are equivalent "
                 f"with different signatures"
             )
 
@@ -250,11 +251,11 @@ def partition_classes(
         _check_cross_bucket(zip(reps, reps[1:]))
     out = tuple(
         ClassRecord(
-            rep.matrix.m,
+            rep.m,
             sum(member.vector_count for member in members),
             len(members),
             rep.signature,
-            _digest(rep.matrix),
+            ";".join(",".join(str(v) for v in row) for row in rep.entries),
         )
         for rep, members in classes
     )
@@ -312,9 +313,6 @@ class ConjectureReport:
                 self.equal_sizes_vectors,
             )
         )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def verify_conjectures(

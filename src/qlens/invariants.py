@@ -8,8 +8,7 @@ constraints that force the shape of every path matrix.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import prod
 
 from .errors import BadModulusError, HypothesisUnmetError, InvalidParamsError, InvariantViolationError
@@ -43,17 +42,6 @@ class Signature:
 
     def as_tuple(self) -> tuple:
         return (self.primes, self.windows)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Signature":
-        payload = json.loads(text)
-        return cls(
-            tuple(int(p) for p in payload["primes"]),
-            tuple(tuple(int(v) for v in w) for w in payload["windows"]),
-        )
 
 
 def window_products(primes: tuple[int, ...], m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterator
 
 from .errors import (
@@ -157,10 +157,19 @@ def _normalized_walk(
     state is kept in the f-cycle frame s[k] = g[k*f mod r]: the prefix sums
     that _advance built, in the order it built them. Advancing by u is then
     a gather of s with stride w = u * f^-1 mod r followed by a prefix sum,
-    which yields the new state in the u-cycle frame; both run in C
-    (itemgetter, accumulate), and the gather is built once per (node, u)
-    and shared by every row of the node. The last column takes only
-    sum(accumulate(gather(s))), so its states are never built.
+    which yields the new state in the u-cycle frame. The rows of a node
+    share that frame, so they are packed into one list of r ints,
+    packed[k] = sum_i s_i[k] << (i * width), width = n * r.bit_length():
+    one gather and one accumulate (both in C) advance every row, the new
+    row enters as the start state shifted into its slot, one sum(packed)
+    gives every row's sum by shift and mask, and the last column takes only
+    sum(accumulate(gather(packed))), so its states are never built.
+
+    No slot carries into the next. Every value is nonnegative; the start
+    state sums to r - 1, and an advance makes each value at most the sum
+    before it, so it multiplies a row's sum by at most r - 1. A row is
+    advanced at most n - 2 times, so every state value, prefix sum and
+    state sum is at most (r-1)^(n-1) < r^n <= 2^width.
 
     Gathers are cached per walk up to GATHER_CACHE_INDEXES indexes and
     built for each use past that, so the walk's extra memory does not grow
@@ -168,7 +177,10 @@ def _normalized_walk(
     made once per row, so a gather built per step costs more than the loop,
     and a prebuilt table of them costs more memory than the matrix.
     """
-    start = [0] + [1] * (r - 1)
+    width = n * r.bit_length()
+    mask = (1 << width) - 1
+    offsets = [i * width for i in range(n)]
+    fresh = [[0] + [1 << off] * (r - 1) for off in offsets]
     pads = [(0,) * i for i in range(n)]
     # Gathers point into one list of index ints, so a cached gather costs
     # a pointer per index rather than an int object per index.
@@ -184,33 +196,34 @@ def _normalized_walk(
                 gathers[w] = g
         return g
 
-    def descend(m, rows, states):
-        # rows[i] holds row i+1 up to column len(m), states[i] its state
-        # after subgraph len(m) in the m[-1]-cycle frame; the new rows
-        # extend them to column len(m)+1.
+    def descend(m, rows, packed):
+        # rows[i] holds row i+1 up to column len(m), slot i of packed its
+        # state after subgraph len(m) in the m[-1]-cycle frame; the new
+        # rows extend them to column len(m)+1.
         k = len(m)
-        rows = [row + (row[-1] + sum(s),) for row, s in zip(rows, states)]
+        sums = sum(packed)
+        rows = [row + (row[-1] + (sums >> off & mask),) for row, off in zip(rows, offsets)]
         choices = units if k >= 2 else (1,)
         f_inv = mod_inverse(m[-1], r)
         if k == n - 2:
             heads = [pads[i] + row for i, row in enumerate(rows)]
             tail = (pads[k] + (1, r), pads[k + 1] + (1,))
             for u in choices:
-                g = gather(u * f_inv % r)
+                sums = sum(accumulate(gather(u * f_inv % r)(packed)))
                 yield m + (u, 1), tuple(
-                    head + (head[-1] + sum(accumulate(g(s))),)
-                    for head, s in zip(heads, states)
+                    head + (head[-1] + (sums >> off & mask),)
+                    for head, off in zip(heads, offsets)
                 ) + tail
             return
         rows.append((1,))
         for u in choices:
             g = gather(u * f_inv % r)
-            yield from descend(m + (u,), rows, [list(accumulate(g(s))) for s in states] + [start])
+            yield from descend(m + (u,), rows, list(map(add, accumulate(g(packed)), fresh[k])))
 
     if n <= 2:
         yield (1,) * n, count_matrix(LensParams(r, (1,) * n)).entries
     else:
-        yield from descend((1,), [(1,)], [start])
+        yield from descend((1,), [(1,)], fresh[0])
 
 
 def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:

@@ -1,9 +1,11 @@
 """Tests for enumeration, partitioning, the phitilde search, and conjecture runs."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -90,8 +92,13 @@ def test_normalized_walk_matches_count_matrix(monkeypatch):
     # (13, 6) and (55, 5) reach one depth through nodes of different last
     # shifts, so one u is gathered with several strides
     cases = [(21, 7), (8, 8), (5, 7), (13, 6), (55, 5)]
-    for r, n in cases + [(r, n) for r in (3, 4, 12) for n in range(1, 5)]:
+    # up to 8 rows share one packed int at (3, 10), 7 at (4, 9)
+    packed = [(3, 10), (4, 9), (7, 7)]
+    for r, n in cases + packed + [(r, n) for r in (3, 4, 12) for n in range(1, 5)]:
         check(r, n)
+    # wide slots: every value of (2003, 5) fits in 5 * 11 bits
+    for vec, entries in itertools.islice(_normalized_walk(2003, 5, list(range(1, 2003))), 200):
+        assert entries == count_matrix(LensParams(2003, vec)).entries, vec
     # room for three gathers: the others are built for each use
     for r, n in cases[1:]:
         monkeypatch.setattr(qlens.pathmatrix, "GATHER_CACHE_INDEXES", 3 * r)
@@ -110,6 +117,13 @@ def test_normalized_walk_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_build_records_rejects_signature_disagreement(monkeypatch):
+    # windows unique to each vector, so vectors sharing a matrix disagree
+    monkeypatch.setattr(qlens.classify, "window_products", lambda primes, vec: (vec,))
+    with pytest.raises(InvariantViolationError, match="share a matrix but disagree on the signature"):
+        _build_records(5, 6, DEFAULT_VECTOR_BUDGET)
 
 
 def test_partition_r3_n4():
@@ -233,10 +247,12 @@ def test_verify_conjectures_skips_equalities_for_4_divides_r():
     assert report.phi >= report.lower_bound
 
 
-def test_verify_conjectures_json():
-    report = verify_conjectures(5, 5)
-    payload = report.to_json()
-    assert '"phi"' in payload and '"signature_iff"' in payload
+def test_verify_conjectures_json(capsys):
+    argv = ["verify", "--suite", "conjectures", "--r", "5", "--n-max", "5", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [report["n"] for report in payload] == [1, 2, 3, 4, 5]
+    assert payload[-1] == json.loads(json.dumps(asdict(verify_conjectures(5, 5))))
 
 
 def test_cross_bucket_check_fires(monkeypatch):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -281,6 +282,28 @@ def test_output_bytes_pinned(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == (1 if '"equivalent":false' in expected else 0)
     assert out == expected
+    assert err == ""
+
+
+# SHA-256 of stdout where a literal would be too long: the 4 | r cell
+# (12, 7) in JSON and every class of (5, 7) in CSV.
+PINNED_DIGESTS = [
+    (
+        ("classes", "--r", "12", "--n", "7", "--format", "json"),
+        "28963777ae93a78685fd09a7af859083249e7b67a255b8324616099e5a892f9e",
+    ),
+    (
+        ("classes", "--r", "5", "--n", "7", "--format", "csv"),
+        "81e1df7530ca6d53e24382e62e41c288c2d05d7acfe1dfb416496c5fd09616ee",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_DIGESTS, ids=["classes-12-7-json", "classes-5-7-csv"])
+def test_output_digest_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == ""
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qlens.classify import ClassPartition, partition_classes
 from qlens.errors import BadModulusError, InvalidParamsError
 from qlens.equivalence import decide_equiv
 from qlens.invariants import (
@@ -55,8 +56,11 @@ def test_signature_residues_are_units():
 
 
 def test_signature_json_round_trip():
-    sig = signature(LensParams(15, (1, 2, 4, 7, 8, 1)))
-    assert Signature.from_json(sig.to_json()) == sig
+    # at n = 6 both primes of 15 have windows
+    part = partition_classes(15, 6)
+    assert all(all(c.signature.windows) for c in part.classes)
+    assert len({c.signature for c in part.classes}) > 1
+    assert ClassPartition.from_json(part.to_json()) == part
 
 
 def test_signature_necessity_small():
