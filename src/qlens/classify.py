@@ -9,11 +9,16 @@ row DP of every common prefix; each distinct matrix keeps its first
 
 One pipeline serves partition_classes, verify_conjectures and
 phitilde_search: matrices are bucketed by signature (classes never span
-buckets), then each bucket runs a representative-first union-find, where
-each matrix joins the first class whose representative it is equivalent
-to. Transitivity makes this exact, since representatives are pairwise
+buckets), then each bucket is reduced, then joined. Every matrix is
+brought to its distance-order normal form; a matrix whose form was seen
+joins that form's class through a composed witness that is checked, and
+only a matrix with a new form runs the representative-first union-find,
+joining the first class whose representative it is equivalent to.
+Transitivity makes this exact, since representatives are pairwise
 non-equivalent by construction. A partition must meet the proven lower
-bound, and representatives of different buckets must stay non-equivalent.
+bound, and representatives of different buckets must stay
+non-equivalent: a block certificate settles each such pair first, and
+the solver decides only the pairs that no block separates.
 """
 
 from __future__ import annotations
@@ -27,7 +32,13 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
-from .equivalence import decide_equiv
+from .equivalence import (
+    IntMatrix,
+    block_obstruction,
+    decide_equiv,
+    distance_normal_form,
+    verify_witness,
+)
 from .invariants import Signature, lower_bound_classes, window_products
 from .lensgraph import LensParams
 from .numtheory import factorize
@@ -175,19 +186,40 @@ def _classify_bucket(
 ) -> list[list[int]]:
     """Indexes of records grouped into classes, representative first.
 
-    With stop_after the walk ends as soon as that many classes exist, so
-    the later groups are incomplete.
+    One pass in record order. A record whose distance-order normal form
+    was seen joins the class of that form's first record a, through the
+    witness (P_b^-1 P_a, Q_b Q_a^-1), which must pass verify_witness. A
+    record with a new form is solved against each class representative in
+    turn and joins the first equivalent one, or starts a class. A class's
+    first record is thus the first record of its form, as with the solver
+    alone. With stop_after the walk ends as soon as that many classes
+    exist, so the later groups are incomplete.
     """
     groups: list[list[int]] = []
+    # form -> (its class, its first record a, P_a, Q_a^-1)
+    forms: dict[IntMatrix, tuple[list[int], MatrixRecord, list, list]] = {}
     for idx, rec in enumerate(records):
+        nf = distance_normal_form(rec)
+        seen = forms.get(nf.form)
+        if seen is not None:
+            group, first, p, q_inv = seen
+            if not verify_witness(first, rec, nf.witness_from(p, q_inv)):
+                raise InvariantViolationError(
+                    f"composed witness for {first.m} and {rec.m}, which share "
+                    f"a normal form, fails verification"
+                )
+            group.append(idx)
+            continue
         for group in groups:
             if decide_equiv(records[group[0]], rec).equivalent:
                 group.append(idx)
                 break
         else:
-            groups.append([idx])
+            group = [idx]
+            groups.append(group)
             if len(groups) == stop_after:
                 break
+        forms[nf.form] = (group, rec, nf.P, nf.Q_inv)
     return groups
 
 
@@ -222,9 +254,17 @@ def _classify(
 
 def _check_cross_bucket(pairs: Iterable[tuple[MatrixRecord, MatrixRecord]]) -> None:
     """Representatives with different signatures must stay non-equivalent;
-    an equivalent pair would falsify the bucketing, so it stops the run."""
+    an equivalent pair would falsify the bucketing, so it stops the run.
+
+    A block certificate (block_obstruction, O(n^2) gcds) settles a pair
+    first; the solver decides only a pair that no block separates.
+    """
     for a, b in pairs:
-        if a.signature != b.signature and decide_equiv(a, b).equivalent:
+        if (
+            a.signature != b.signature
+            and block_obstruction(a, b) is None
+            and decide_equiv(a, b).equivalent
+        ):
             raise InvariantViolationError(
                 f"representatives {a.m} and {b.m} are equivalent "
                 f"with different signatures"
@@ -270,8 +310,8 @@ def phitilde_search(
     """Smallest n <= n_max with more than one class, else NotFoundBelow.
 
     Two nonempty signature buckets prove the split immediately; otherwise
-    the solver runs until a second class appears or the dimension is
-    exhausted.
+    the bucket is classified until a second class appears or the dimension
+    is exhausted.
     """
     for n in range(1, n_max + 1):
         buckets = _bucketize(_build_records(r, n, budget))

@@ -15,6 +15,11 @@ column operations are logged and replayed in reverse on the pivot values
 to give the solution. Every verdict is exact: Equivalent comes with a
 verified witness and NotEquivalent with either a modular corner
 obstruction or infeasibility of the system.
+
+Two cheaper tools serve the classification pipeline: distance_normal_form,
+whose equal forms prove equivalence through a composed witness, and
+block_obstruction, a corner obstruction on any contiguous principal block,
+which proves non-equivalence.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -42,6 +47,9 @@ __all__ = [
     "verify_witness",
     "submatrix_necessary",
     "unipotent_inverse",
+    "block_obstruction",
+    "NormalForm",
+    "distance_normal_form",
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -262,6 +270,128 @@ def _best_corner_obstruction(a: IntMatrix, b: IntMatrix) -> CornerObstruction | 
         if diff % k:
             return CornerObstruction(k, (1, n), a[0][n - 1] % k, b[0][n - 1] % k)
     raise InvariantViolationError("corner difference not detected by any prime power")
+
+
+def block_obstruction(A, B) -> tuple[int, int] | None:
+    """First contiguous principal block [t, s] (1-based) that certifies A and
+    B non-equivalent, scanning by distance s - t; None when no block does.
+
+    Unipotent upper-triangular U, V restrict to every such block, so the
+    corner obstruction holds block by block: when every non-corner
+    strictly-upper entry of the block in both matrices is divisible by g,
+    the corners of equivalent matrices agree modulo g (exactly, for g = 0).
+    With E(t, s) the gcd of the block's strictly-upper entries in both
+    matrices, that g is gcd(E(t, s-1), E(t+1, s)), so the scan costs
+    O(n^2) gcds.
+    """
+    a = getattr(A, "entries", A)
+    b = getattr(B, "entries", B)
+    n = len(a)
+    gcds = [0] * n  # E(t, t) = 0: a 1x1 block has no strictly-upper entries
+    for d in range(1, n):
+        for t in range(n - d):
+            s = t + d
+            g = math.gcd(gcds[t], gcds[t + 1])
+            x, y = a[t][s], b[t][s]
+            # corners differ modulo g; modulo 0 that is differing at all
+            if (x - y) % g if g else x != y:
+                return (t + 1, s + 1)
+            gcds[t] = math.gcd(g, x, y)
+    return None
+
+
+RowOps = tuple[tuple[int, int, int], ...]
+
+
+def _replay(x: Sequence[Sequence[int]], ops: RowOps, inverse: bool = False) -> list[list[int]]:
+    """E_k ... E_1 x for the row operations E_t = (row i += c * row k) of
+    ops, each k > i; with inverse, (E_k ... E_1)^-1 x instead."""
+    out = [list(row) for row in x]
+    if inverse:
+        ops = tuple((i, k, -c) for i, k, c in reversed(ops))
+    for i, k, c in ops:
+        row = out[i]
+        for col, v in enumerate(out[k]):
+            if v:
+                row[col] += c * v
+    return out
+
+
+class NormalForm(NamedTuple):
+    """R = P (A - I) Q with P and Q^-1 unipotent upper triangular, each
+    kept as the row operations that build it from I; see
+    distance_normal_form."""
+
+    form: IntMatrix
+    p_ops: RowOps
+    q_inv_ops: RowOps
+
+    @property
+    def P(self) -> list[list[int]]:
+        return _replay(_identity(len(self.form)), self.p_ops)
+
+    @property
+    def Q_inv(self) -> list[list[int]]:
+        return _replay(_identity(len(self.form)), self.q_inv_ops)
+
+    def witness_from(
+        self, p_a: Sequence[Sequence[int]], q_inv_a: Sequence[Sequence[int]]
+    ) -> Witness:
+        """(P^-1 P_a, Q Q_a^-1): it proves A ~ this matrix when A has the
+        same form, reached as P_a (A - I) Q_a."""
+        u = _replay(p_a, self.p_ops, inverse=True)
+        v = _replay(q_inv_a, self.q_inv_ops, inverse=True)
+        return Witness(tuple(map(tuple, u)), tuple(map(tuple, v)))
+
+
+def _bezout(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(x, y) = u*x + v*y."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while y:
+        q, rem = divmod(x, y)
+        x, y = y, rem
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if x < 0:
+        return -x, -u0, -v0
+    return x, u0, v0
+
+
+def distance_normal_form(matrix) -> NormalForm:
+    """Reduce N = A - I by unipotent row and column operations, distance by
+    distance.
+
+    For d = 2..n-1 and each (i, j = i + d), N[i][j] is reduced into [0, g)
+    with g = gcd(N[j-1][j], N[i][i+1]) by row i += c * row (j-1) and column
+    j += c' * column (i+1), c and c' the Bezout multiples. Neither touches
+    another entry at distance <= d, so every entry is reduced once and
+    stays reduced, and the superdiagonal is never changed. Equal forms of
+    A and B prove A ~ B (NormalForm.witness_from); the converse fails, as
+    the form is not a complete invariant. The row operations are logged as
+    P's; each column operation, right-multiplied into Q, is logged as its
+    inverse row operation on Q^-1, row (i+1) -= c' * row j.
+    """
+    a = getattr(matrix, "entries", matrix)
+    n = len(a)
+    form = [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    p_ops = []
+    q_inv_ops = []
+    for d in range(2, n):
+        for i in range(n - d):
+            j = i + d
+            g, x, y = _bezout(form[j - 1][j], form[i][i + 1])
+            if not g or not (t := form[i][j] // g):
+                continue
+            if c := -t * x:
+                row, src = form[i], form[j - 1]
+                for k in range(j, n):
+                    row[k] += c * src[k]
+                p_ops.append((i, j - 1, c))
+            if c := -t * y:
+                for k in range(i + 1):
+                    form[k][j] += c * form[k][i + 1]
+                q_inv_ops.append((i + 1, j, -c))
+    return NormalForm(tuple(map(tuple, form)), tuple(p_ops), tuple(q_inv_ops))
 
 
 def _upper_positions(n: int) -> list[tuple[int, int]]:

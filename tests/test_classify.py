@@ -15,6 +15,7 @@ import qlens.pathmatrix
 from qlens.errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
 from qlens.classify import (
     DEFAULT_VECTOR_BUDGET,
+    _classify,
     ClassPartition,
     NotFoundBelow,
     enumerate_matrices,
@@ -24,7 +25,14 @@ from qlens.classify import (
     _build_records,
 )
 from qlens.cli import main
-from qlens.equivalence import decide_equiv
+from qlens.equivalence import (
+    NormalForm,
+    block_obstruction,
+    decide_equiv,
+    distance_normal_form,
+    unipotent_inverse,
+    verify_witness,
+)
 from qlens.invariants import lower_bound_classes, phitilde_formula, signature
 from qlens.lensgraph import LensParams
 from qlens.pathmatrix import _normalized_walk, count_matrix
@@ -263,6 +271,8 @@ def test_cross_bucket_check_fires(monkeypatch):
         return decide_equiv(a, b)
 
     monkeypatch.setattr(qlens.classify, "decide_equiv", fake)
+    # with no block certificate, the cross-bucket pairs fall back to the solver
+    monkeypatch.setattr(qlens.classify, "block_obstruction", lambda a, b: None)
     with pytest.raises(InvariantViolationError, match="representatives .* are equivalent"):
         partition_classes(5, 6)
     with pytest.raises(InvariantViolationError, match="representatives .* are equivalent"):
@@ -274,12 +284,68 @@ def test_verify_conjectures_solves_each_pair_once(monkeypatch):
     pairs = []
 
     def recording(a, b):
-        pairs.append(frozenset((a.m, b.m)))
+        pairs.append((frozenset((a.m, b.m)), a.signature == b.signature))
         return decide_equiv(a, b)
 
     monkeypatch.setattr(qlens.classify, "decide_equiv", recording)
     report = verify_conjectures(5, 6)
     assert report.passed
-    # 4 buckets: the cross-bucket check alone makes 6 calls
-    assert len(pairs) >= 6
+    # 4 buckets: block certificates settle all 6 cross-bucket pairs
+    assert report.buckets == 4
+    assert all(same for _, same in pairs)
     assert len(set(pairs)) == len(pairs)
+
+
+def _strict(entries):
+    return [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(entries)]
+
+
+def _matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def test_normal_form_of_every_record():
+    for r, n in [(8, 7), (12, 7), (5, 8), (9, 7)]:
+        for rec in _build_records(r, n, DEFAULT_VECTOR_BUDGET):
+            nf = distance_normal_form(rec)
+            form = nf.form
+            for i in range(n):
+                for j in range(i + 2, n):
+                    assert 0 <= form[i][j] < math.gcd(form[j - 1][j], form[i][i + 1]), (r, n, rec.m)
+            pnq = _matmul(_matmul(nf.P, _strict(rec.entries)), unipotent_inverse(nf.Q_inv))
+            assert tuple(map(tuple, pnq)) == form, (r, n, rec.m)
+
+
+def test_same_form_witnesses_verify():
+    by_form = {}
+    for rec in _build_records(8, 7, DEFAULT_VECTOR_BUDGET):
+        by_form.setdefault(distance_normal_form(rec).form, []).append(rec)
+    assert len(by_form) == 16
+    for recs in by_form.values():
+        for a, b in itertools.combinations(recs, 2):
+            nf_a = distance_normal_form(a)
+            assert verify_witness(a, b, distance_normal_form(b).witness_from(nf_a.P, nf_a.Q_inv))
+
+
+def test_corrupted_composition_is_caught(monkeypatch, capsys):
+    real = distance_normal_form
+
+    def skipping(matrix):
+        # the last column operation skips its update of Q
+        nf = real(matrix)
+        return NormalForm(nf.form, nf.p_ops, nf.q_inv_ops[:-1])
+
+    monkeypatch.setattr(qlens.classify, "distance_normal_form", skipping)
+    with pytest.raises(InvariantViolationError, match="composed witness .* fails verification"):
+        partition_classes(8, 7)
+    assert main(["classes", "--r", "8", "--n", "7"]) == 4
+    assert "fails verification" in capsys.readouterr().err
+
+
+def test_block_scan_separates_cross_signature_representatives():
+    classes, _ = _classify(15, 6, DEFAULT_VECTOR_BUDGET, None, True)
+    reps = [rep for rep, _ in classes]
+    pairs = [(a, b) for a, b in itertools.combinations(reps, 2) if a.signature != b.signature]
+    assert len(pairs) >= 100
+    for a, b in pairs:
+        assert block_obstruction(a, b) is not None, (a.m, b.m)

@@ -296,10 +296,27 @@ PINNED_DIGESTS = [
         ("classes", "--r", "5", "--n", "7", "--format", "csv"),
         "81e1df7530ca6d53e24382e62e41c288c2d05d7acfe1dfb416496c5fd09616ee",
     ),
+    # same-form joins: 256 matrices in 16 forms, 4 classes
+    (
+        ("classes", "--r", "8", "--n", "7", "--format", "json"),
+        "b7e0a836176382f332141c37f4d565c2771922ae1c531869d03a23a6b027950e",
+    ),
+    (
+        ("classes", "--r", "5", "--n", "8", "--format", "json"),
+        "293226a59422862fb53e81b1bba6513d0fd42f78d11180d478ec252ab90c7f00",
+    ),
+    (
+        ("classes", "--r", "9", "--n", "7", "--format", "json"),
+        "eef487c9270240f3fc8064ef43794f1b2b5fa4604c45532a2f2def7dcda21a5d",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_DIGESTS, ids=["classes-12-7-json", "classes-5-7-csv"])
+@pytest.mark.parametrize(
+    "argv, digest",
+    PINNED_DIGESTS,
+    ids=["classes-12-7-json", "classes-5-7-csv", "classes-8-7-json", "classes-5-8-json", "classes-9-7-json"],
+)
 def test_output_digest_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0

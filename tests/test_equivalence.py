@@ -13,7 +13,9 @@ from qlens.errors import (
 )
 from qlens.equivalence import (
     Witness,
+    block_obstruction,
     decide_equiv,
+    distance_normal_form,
     obstruction_mod_k,
     solve_diophantine,
     submatrix_necessary,
@@ -431,3 +433,55 @@ def test_witness_json_round_trip():
     b = count_matrix(LensParams(5, (1, 2, 1, 1)))
     w = decide_equiv(a, b).witness
     assert Witness.from_json(w.to_json()) == w
+
+
+def _random_unipotent(rng, n):
+    return [[int(i == j) if j <= i else rng.randint(-3, 3) for j in range(n)] for i in range(n)]
+
+
+def test_block_obstruction_pinned_pair():
+    a = count_matrix(LensParams(3, (1, 1, 1, 1)))
+    b = count_matrix(LensParams(3, (1, 2, 1, 1)))
+    assert block_obstruction(a, b) == (1, 4)
+    assert block_obstruction(a, a) is None
+    # differing superdiagonal entries: a 2x2 block, non-corner gcd 0
+    assert block_obstruction([[1, 2, 0], [0, 1, 3], [0, 0, 1]], [[1, 2, 0], [0, 1, 4], [0, 0, 1]]) == (2, 3)
+
+
+def test_block_obstruction_silent_on_transformed_pairs():
+    # the transformed pairs of acceptance criterion 12: (A, U (A - I) V^-1 + I)
+    rng = random.Random(12)
+    for _ in range(500):
+        r = rng.randint(3, 30)
+        n = rng.randint(4, 8)
+        units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+        a = count_matrix(LensParams(r, tuple(rng.choice(units) for _ in range(n))))
+        c = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(a.entries)]
+        u = _random_unipotent(rng, n)
+        v = _random_unipotent(rng, n)
+        d = matmul(matmul(u, c), unipotent_inverse(v))
+        b = [[d[i][j] + (i == j) for j in range(n)] for i in range(n)]
+        assert block_obstruction(a, b) is None, (a.entries, b)
+
+
+def test_distance_normal_form_general_matrices():
+    # superdiagonals with distinct entries need row operations as well
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        a = [[int(i == j) if j <= i else rng.randint(-30, 30) for j in range(n)] for i in range(n)]
+        nf = distance_normal_form(a)
+        form = nf.form
+        strict = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
+        assert [list(row) for row in form] == matmul(matmul(nf.P, strict), unipotent_inverse(nf.Q_inv))
+        for i in range(n):
+            for j in range(i + 2, n):
+                g = math.gcd(form[j - 1][j], form[i][i + 1])
+                assert g == 0 or 0 <= form[i][j] < g
+        # a transformed copy with the same form joins through a verified witness
+        u = _random_unipotent(rng, n)
+        v = _random_unipotent(rng, n)
+        b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(matmul(matmul(u, strict), v))]
+        nf_b = distance_normal_form(b)
+        if nf_b.form == form:
+            assert verify_witness(a, b, nf_b.witness_from(nf.P, nf.Q_inv))
