@@ -346,6 +346,7 @@ def test_block_scan_separates_cross_signature_representatives():
     classes, _ = _classify(15, 6, DEFAULT_VECTOR_BUDGET, None, True)
     reps = [rep for rep, _ in classes]
     pairs = [(a, b) for a, b in itertools.combinations(reps, 2) if a.signature != b.signature]
-    assert len(pairs) >= 100
+    # 32 classes, one per signature
+    assert len(pairs) == 496
     for a, b in pairs:
         assert block_obstruction(a, b) is not None, (a.m, b.m)
