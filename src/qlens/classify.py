@@ -16,9 +16,8 @@ only a matrix with a new form runs the representative-first union-find,
 joining the first class whose representative it is equivalent to.
 Transitivity makes this exact, since representatives are pairwise
 non-equivalent by construction. A partition must meet the proven lower
-bound, and representatives of different buckets must stay
-non-equivalent: a block certificate settles each such pair first, and
-the solver decides only the pairs that no block separates.
+bound, and representatives of different buckets must carry a block
+certificate of non-equivalence; the solver is never asked across buckets.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ def _classify_bucket(
 
     One pass in record order. A record whose distance-order normal form
     was seen joins the class of that form's first record a, through the
-    witness (P_b^-1 P_a, Q_b Q_a^-1), which must pass verify_witness. A
+    witness (I, Q_b Q_a^-1), which must pass verify_witness. A
     record with a new form is solved against each class representative in
     turn and joins the first equivalent one, or starts a class. A class's
     first record is thus the first record of its form, as with the solver
@@ -196,14 +195,14 @@ def _classify_bucket(
     exist, so the later groups are incomplete.
     """
     groups: list[list[int]] = []
-    # form -> (its class, its first record a, P_a, Q_a^-1)
-    forms: dict[IntMatrix, tuple[list[int], MatrixRecord, list, list]] = {}
+    # form -> (its class, its first record a, Q_a^-1)
+    forms: dict[IntMatrix, tuple[list[int], MatrixRecord, list]] = {}
     for idx, rec in enumerate(records):
         nf = distance_normal_form(rec)
         seen = forms.get(nf.form)
         if seen is not None:
-            group, first, p, q_inv = seen
-            if not verify_witness(first, rec, nf.witness_from(p, q_inv)):
+            group, first, q_inv = seen
+            if not verify_witness(first, rec, nf.witness_from(q_inv)):
                 raise InvariantViolationError(
                     f"composed witness for {first.m} and {rec.m}, which share "
                     f"a normal form, fails verification"
@@ -219,7 +218,7 @@ def _classify_bucket(
             groups.append(group)
             if len(groups) == stop_after:
                 break
-        forms[nf.form] = (group, rec, nf.P, nf.Q_inv)
+        forms[nf.form] = (group, rec, nf.Q_inv)
     return groups
 
 
@@ -253,21 +252,20 @@ def _classify(
 
 
 def _check_cross_bucket(pairs: Iterable[tuple[MatrixRecord, MatrixRecord]]) -> None:
-    """Representatives with different signatures must stay non-equivalent;
-    an equivalent pair would falsify the bucketing, so it stops the run.
+    """Representatives with different signatures must carry a block
+    certificate of non-equivalence (block_obstruction, O(n^2) gcds).
 
-    A block certificate (block_obstruction, O(n^2) gcds) settles a pair
-    first; the solver decides only a pair that no block separates.
+    The signature's invariance proof is such a certificate: where the
+    windows for an odd prime p (p^alpha exactly dividing r) differ at t,
+    every entry of block [t, t+p] at distance < p is divisible by p^alpha
+    while its corners differ modulo p^alpha. A pair without one means that
+    proof failed, so it stops the run.
     """
     for a, b in pairs:
-        if (
-            a.signature != b.signature
-            and block_obstruction(a, b) is None
-            and decide_equiv(a, b).equivalent
-        ):
+        if a.signature != b.signature and block_obstruction(a, b) is None:
             raise InvariantViolationError(
-                f"representatives {a.m} and {b.m} are equivalent "
-                f"with different signatures"
+                f"representatives {a.m} and {b.m} have different signatures "
+                f"but no block certificate"
             )
 
 

@@ -17,9 +17,9 @@ verified witness and NotEquivalent with either a modular corner
 obstruction or infeasibility of the system.
 
 Two cheaper tools serve the classification pipeline: distance_normal_form,
-whose equal forms prove equivalence through a composed witness, and
-block_obstruction, a corner obstruction on any contiguous principal block,
-which proves non-equivalence.
+a reduction by column operations alone whose equal forms prove equivalence
+through a composed witness, and block_obstruction, a corner obstruction on
+any contiguous principal block, which proves non-equivalence.
 """
 
 from __future__ import annotations
@@ -287,6 +287,8 @@ def block_obstruction(A, B) -> tuple[int, int] | None:
     a = getattr(A, "entries", A)
     b = getattr(B, "entries", B)
     n = len(a)
+    if len(b) != n:
+        raise DimensionMismatchError(f"matrices have dimensions {n} and {len(b)}")
     gcds = [0] * n  # E(t, t) = 0: a 1x1 block has no strictly-upper entries
     for d in range(1, n):
         for t in range(n - d):
@@ -318,80 +320,50 @@ def _replay(x: Sequence[Sequence[int]], ops: RowOps, inverse: bool = False) -> l
 
 
 class NormalForm(NamedTuple):
-    """R = P (A - I) Q with P and Q^-1 unipotent upper triangular, each
-    kept as the row operations that build it from I; see
-    distance_normal_form."""
+    """R = (A - I) Q with Q^-1 unipotent upper triangular, kept as the row
+    operations that build it from I; see distance_normal_form."""
 
     form: IntMatrix
-    p_ops: RowOps
     q_inv_ops: RowOps
-
-    @property
-    def P(self) -> list[list[int]]:
-        return _replay(_identity(len(self.form)), self.p_ops)
 
     @property
     def Q_inv(self) -> list[list[int]]:
         return _replay(_identity(len(self.form)), self.q_inv_ops)
 
-    def witness_from(
-        self, p_a: Sequence[Sequence[int]], q_inv_a: Sequence[Sequence[int]]
-    ) -> Witness:
-        """(P^-1 P_a, Q Q_a^-1): it proves A ~ this matrix when A has the
-        same form, reached as P_a (A - I) Q_a."""
-        u = _replay(p_a, self.p_ops, inverse=True)
+    def witness_from(self, q_inv_a: Sequence[Sequence[int]]) -> Witness:
+        """(I, Q Q_a^-1): it proves A ~ this matrix when A has the same
+        form, reached as (A - I) Q_a."""
         v = _replay(q_inv_a, self.q_inv_ops, inverse=True)
-        return Witness(tuple(map(tuple, u)), tuple(map(tuple, v)))
-
-
-def _bezout(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with g = gcd(x, y) = u*x + v*y."""
-    u0, v0, u1, v1 = 1, 0, 0, 1
-    while y:
-        q, rem = divmod(x, y)
-        x, y = y, rem
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if x < 0:
-        return -x, -u0, -v0
-    return x, u0, v0
+        return Witness(tuple(map(tuple, _identity(len(v)))), tuple(map(tuple, v)))
 
 
 def distance_normal_form(matrix) -> NormalForm:
-    """Reduce N = A - I by unipotent row and column operations, distance by
-    distance.
+    """Reduce N = A - I by unipotent column operations, distance by distance.
 
-    For d = 2..n-1 and each (i, j = i + d), N[i][j] is reduced into [0, g)
-    with g = gcd(N[j-1][j], N[i][i+1]) by row i += c * row (j-1) and column
-    j += c' * column (i+1), c and c' the Bezout multiples. Neither touches
-    another entry at distance <= d, so every entry is reduced once and
-    stays reduced, and the superdiagonal is never changed. Equal forms of
-    A and B prove A ~ B (NormalForm.witness_from); the converse fails, as
-    the form is not a complete invariant. The row operations are logged as
-    P's; each column operation, right-multiplied into Q, is logged as its
-    inverse row operation on Q^-1, row (i+1) -= c' * row j.
+    For d = 2..n-1 and each (i, j = i + d), N[i][j] is reduced modulo
+    g = N[i][i+1] by column j -= t * column (i+1), t = N[i][j] // g. That
+    touches only rows 0..i of column j, whose other entries lie at distance
+    > d, so every entry is reduced once and stays reduced, and the
+    superdiagonal is never changed. Path matrices have g = r throughout.
+    Equal forms of A and B prove A ~ B (NormalForm.witness_from); the
+    converse fails, as the form is not a complete invariant. Each column
+    operation, right-multiplied into Q, is logged as its inverse row
+    operation on Q^-1, row (i+1) += t * row j.
     """
     a = getattr(matrix, "entries", matrix)
     n = len(a)
     form = [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    p_ops = []
     q_inv_ops = []
     for d in range(2, n):
         for i in range(n - d):
             j = i + d
-            g, x, y = _bezout(form[j - 1][j], form[i][i + 1])
+            g = form[i][i + 1]
             if not g or not (t := form[i][j] // g):
                 continue
-            if c := -t * x:
-                row, src = form[i], form[j - 1]
-                for k in range(j, n):
-                    row[k] += c * src[k]
-                p_ops.append((i, j - 1, c))
-            if c := -t * y:
-                for k in range(i + 1):
-                    form[k][j] += c * form[k][i + 1]
-                q_inv_ops.append((i + 1, j, -c))
-    return NormalForm(tuple(map(tuple, form)), tuple(p_ops), tuple(q_inv_ops))
+            for k in range(i + 1):
+                form[k][j] -= t * form[k][i + 1]
+            q_inv_ops.append((i + 1, j, t))
+    return NormalForm(tuple(map(tuple, form)), tuple(q_inv_ops))
 
 
 def _upper_positions(n: int) -> list[tuple[int, int]]:

@@ -62,13 +62,10 @@ class LensParams:
             raise BadModulusError(f"modulus r must be an integer > 2, got {self.r!r}")
         if not self.m:
             raise InvalidParamsError("m must contain at least one entry")
-        reduced = tuple(int(v) % self.r for v in self.m)
-        object.__setattr__(self, "m", reduced)
-        for idx, value in enumerate(reduced, start=1):
-            if math.gcd(value, self.r) != 1:
-                raise NonUnitError(
-                    f"m_{idx} = {self.m[idx - 1]} is not a unit modulo {self.r}"
-                )
+        for idx, value in enumerate(self.m, start=1):
+            if math.gcd(int(value), self.r) != 1:
+                raise NonUnitError(f"m_{idx} = {value} is not a unit modulo {self.r}")
+        object.__setattr__(self, "m", tuple(int(v) % self.r for v in self.m))
 
     @property
     def n(self) -> int:

@@ -3,10 +3,10 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +33,7 @@ from qlens.equivalence import (
     unipotent_inverse,
     verify_witness,
 )
-from qlens.invariants import lower_bound_classes, phitilde_formula, signature
+from qlens.invariants import lower_bound_classes, phitilde_formula
 from qlens.lensgraph import LensParams
 from qlens.pathmatrix import _normalized_walk, count_matrix
 
@@ -264,18 +264,11 @@ def test_verify_conjectures_json(capsys):
 
 
 def test_cross_bucket_check_fires(monkeypatch):
-    # a solver that calls every pair with different signatures equivalent
-    def fake(a, b):
-        if signature(LensParams(a.r, a.m)) != signature(LensParams(b.r, b.m)):
-            return SimpleNamespace(equivalent=True)
-        return decide_equiv(a, b)
-
-    monkeypatch.setattr(qlens.classify, "decide_equiv", fake)
-    # with no block certificate, the cross-bucket pairs fall back to the solver
+    # a cross-bucket pair without a block certificate stops the run
     monkeypatch.setattr(qlens.classify, "block_obstruction", lambda a, b: None)
-    with pytest.raises(InvariantViolationError, match="representatives .* are equivalent"):
+    with pytest.raises(InvariantViolationError, match="representatives .* no block certificate"):
         partition_classes(5, 6)
-    with pytest.raises(InvariantViolationError, match="representatives .* are equivalent"):
+    with pytest.raises(InvariantViolationError, match="representatives .* no block certificate"):
         verify_conjectures(5, 6)
     assert main(["classes", "--r", "5", "--n", "6"]) == 4
 
@@ -311,9 +304,9 @@ def test_normal_form_of_every_record():
             form = nf.form
             for i in range(n):
                 for j in range(i + 2, n):
-                    assert 0 <= form[i][j] < math.gcd(form[j - 1][j], form[i][i + 1]), (r, n, rec.m)
-            pnq = _matmul(_matmul(nf.P, _strict(rec.entries)), unipotent_inverse(nf.Q_inv))
-            assert tuple(map(tuple, pnq)) == form, (r, n, rec.m)
+                    assert 0 <= form[i][j] < form[i][i + 1] == r, (r, n, rec.m)
+            nq = _matmul(_strict(rec.entries), unipotent_inverse(nf.Q_inv))
+            assert tuple(map(tuple, nq)) == form, (r, n, rec.m)
 
 
 def test_same_form_witnesses_verify():
@@ -324,7 +317,7 @@ def test_same_form_witnesses_verify():
     for recs in by_form.values():
         for a, b in itertools.combinations(recs, 2):
             nf_a = distance_normal_form(a)
-            assert verify_witness(a, b, distance_normal_form(b).witness_from(nf_a.P, nf_a.Q_inv))
+            assert verify_witness(a, b, distance_normal_form(b).witness_from(nf_a.Q_inv))
 
 
 def test_corrupted_composition_is_caught(monkeypatch, capsys):
@@ -333,7 +326,7 @@ def test_corrupted_composition_is_caught(monkeypatch, capsys):
     def skipping(matrix):
         # the last column operation skips its update of Q
         nf = real(matrix)
-        return NormalForm(nf.form, nf.p_ops, nf.q_inv_ops[:-1])
+        return NormalForm(nf.form, nf.q_inv_ops[:-1])
 
     monkeypatch.setattr(qlens.classify, "distance_normal_form", skipping)
     with pytest.raises(InvariantViolationError, match="composed witness .* fails verification"):
@@ -350,3 +343,12 @@ def test_block_scan_separates_cross_signature_representatives():
     assert len(pairs) == 496
     for a, b in pairs:
         assert block_obstruction(a, b) is not None, (a.m, b.m)
+    # seeded record pairs, where p^2 | r or 4 | r as well
+    for r, n in [(9, 6), (45, 5), (36, 5), (12, 7), (20, 6)]:
+        records = _build_records(r, n, DEFAULT_VECTOR_BUDGET)
+        rng = random.Random(r * 100 + n)
+        pairs = [rng.sample(records, 2) for _ in range(1000)]
+        pairs = [(a, b) for a, b in pairs if a.signature != b.signature]
+        assert len(pairs) > 500, (r, n)
+        for a, b in pairs:
+            assert block_obstruction(a, b) is not None, (r, a.m, b.m)

@@ -56,6 +56,9 @@ def test_matrix_non_unit_exit_2(capsys):
     code, _, err = run(capsys, "matrix", "--r", "4", "--m", "1,2,1")
     assert code == 2
     assert "m_2" in err
+    code, _, err = run(capsys, "matrix", "--r", "3", "--m", "3")
+    assert code == 2
+    assert "m_1 = 3 is not a unit modulo 3" in err
 
 
 def test_matrix_negative_entries_reduced(capsys):

@@ -446,6 +446,12 @@ def test_block_obstruction_pinned_pair():
     assert block_obstruction(a, a) is None
     # differing superdiagonal entries: a 2x2 block, non-corner gcd 0
     assert block_obstruction([[1, 2, 0], [0, 1, 3], [0, 0, 1]], [[1, 2, 0], [0, 1, 4], [0, 0, 1]]) == (2, 3)
+    # matrices of different sizes are rejected in either order
+    small = [[1, 0], [0, 1]]
+    large = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    for x, y in [(small, large), (large, small)]:
+        with pytest.raises(DimensionMismatchError):
+            block_obstruction(x, y)
 
 
 def test_block_obstruction_silent_on_transformed_pairs():
@@ -465,7 +471,7 @@ def test_block_obstruction_silent_on_transformed_pairs():
 
 
 def test_distance_normal_form_general_matrices():
-    # superdiagonals with distinct entries need row operations as well
+    # any superdiagonal, zero and negative entries included
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(1, 7)
@@ -473,15 +479,15 @@ def test_distance_normal_form_general_matrices():
         nf = distance_normal_form(a)
         form = nf.form
         strict = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
-        assert [list(row) for row in form] == matmul(matmul(nf.P, strict), unipotent_inverse(nf.Q_inv))
+        assert [list(row) for row in form] == matmul(strict, unipotent_inverse(nf.Q_inv))
         for i in range(n):
             for j in range(i + 2, n):
-                g = math.gcd(form[j - 1][j], form[i][i + 1])
-                assert g == 0 or 0 <= form[i][j] < g
+                g = form[i][i + 1]
+                assert g == 0 or form[i][j] == form[i][j] % g
         # a transformed copy with the same form joins through a verified witness
         u = _random_unipotent(rng, n)
         v = _random_unipotent(rng, n)
         b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(matmul(matmul(u, strict), v))]
         nf_b = distance_normal_form(b)
         if nf_b.form == form:
-            assert verify_witness(a, b, nf_b.witness_from(nf.P, nf.Q_inv))
+            assert verify_witness(a, b, nf_b.witness_from(nf.Q_inv))

@@ -48,6 +48,9 @@ def test_params_name_offending_entry():
     with pytest.raises(NonUnitError) as exc:
         LensParams(5, (1, 3, 10))
     assert "m_3" in str(exc.value)
+    # the entry as given, not its residue
+    with pytest.raises(NonUnitError, match=r"^m_2 = 12 is not a unit modulo 9$"):
+        LensParams(9, (1, 12, 1))
 
 
 def test_scale_examples():
