@@ -9,15 +9,16 @@ row DP of every common prefix; each distinct matrix keeps its first
 
 One pipeline serves partition_classes, verify_conjectures and
 phitilde_search: matrices are bucketed by signature (classes never span
-buckets), then each bucket is reduced, then joined. Every matrix is
-brought to its distance-order normal form; a matrix whose form was seen
-joins that form's class through a composed witness that is checked, and
-only a matrix with a new form runs the representative-first union-find,
-joining the first class whose representative it is equivalent to.
-Transitivity makes this exact, since representatives are pairwise
-non-equivalent by construction. A partition must meet the proven lower
-bound, and representatives of different buckets must carry a block
-certificate of non-equivalence; the solver is never asked across buckets.
+buckets), then each bucket is reduced, then joined. Every matrix A is
+brought to its distance-order normal form R = (A - I)Q, and its own
+certificate (I, Q) of A ~ R + I is checked, so matrices of one form are
+equivalent by transitivity. Only a matrix with a new form runs the
+representative-first union-find, joining the first class whose
+representative it is equivalent to; this is exact too, since
+representatives are pairwise non-equivalent by construction. A partition
+must meet the proven lower bound, and representatives of different
+buckets must carry a block certificate of non-equivalence; the solver is
+never asked across buckets.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
+from .errors import BadModulusError, BudgetExceededError, InvalidParamsError, InvariantViolationError
 from .equivalence import (
     IntMatrix,
     block_obstruction,
     decide_equiv,
     distance_normal_form,
-    verify_witness,
 )
 from .invariants import Signature, lower_bound_classes, window_products
 from .lensgraph import LensParams
@@ -133,6 +133,8 @@ def _build_records(r: int, n: int, budget: int) -> list[MatrixRecord]:
     consistency is asserted here because the buckets downstream would be
     ill-defined otherwise.
     """
+    if r <= 2:
+        raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
     if n < 1:
         raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
     units = []
@@ -185,40 +187,36 @@ def _classify_bucket(
 ) -> list[list[int]]:
     """Indexes of records grouped into classes, representative first.
 
-    One pass in record order. A record whose distance-order normal form
-    was seen joins the class of that form's first record a, through the
-    witness (I, Q_b Q_a^-1), which must pass verify_witness. A
-    record with a new form is solved against each class representative in
-    turn and joins the first equivalent one, or starts a class. A class's
-    first record is thus the first record of its form, as with the solver
-    alone. With stop_after the walk ends as soon as that many classes
-    exist, so the later groups are incomplete.
+    One pass in record order. Each record is brought to its distance-order
+    normal form R = (A - I) Q, and the certificate (I, Q) of A ~ R + I is
+    checked first; records of one form are thus equivalent by transitivity.
+    A record whose form was seen joins that form's class. A record with a
+    new form is solved against each class representative in turn and
+    joins the first equivalent one, or starts a class. A class's first
+    record is thus the first record of its form, as with the solver alone.
+    With stop_after the walk ends as soon as that many classes exist, so
+    the later groups are incomplete.
     """
     groups: list[list[int]] = []
-    # form -> (its class, its first record a, Q_a^-1)
-    forms: dict[IntMatrix, tuple[list[int], MatrixRecord, list]] = {}
+    forms: dict[IntMatrix, list[int]] = {}
     for idx, rec in enumerate(records):
         nf = distance_normal_form(rec)
-        seen = forms.get(nf.form)
-        if seen is not None:
-            group, first, q_inv = seen
-            if not verify_witness(first, rec, nf.witness_from(q_inv)):
-                raise InvariantViolationError(
-                    f"composed witness for {first.m} and {rec.m}, which share "
-                    f"a normal form, fails verification"
-                )
-            group.append(idx)
-            continue
-        for group in groups:
-            if decide_equiv(records[group[0]], rec).equivalent:
-                group.append(idx)
-                break
-        else:
-            group = [idx]
-            groups.append(group)
-            if len(groups) == stop_after:
-                break
-        forms[nf.form] = (group, rec, nf.Q_inv)
+        if not nf.certifies(rec):
+            raise InvariantViolationError(
+                f"normal form certificate for {rec.m} fails verification"
+            )
+        group = forms.get(nf.form)
+        if group is None:
+            for group in groups:
+                if decide_equiv(records[group[0]], rec).equivalent:
+                    break
+            else:
+                group = []
+                groups.append(group)
+            forms[nf.form] = group
+        group.append(idx)
+        if len(groups) == stop_after:
+            break
     return groups
 
 
@@ -307,13 +305,14 @@ def phitilde_search(
 ) -> int | NotFoundBelow:
     """Smallest n <= n_max with more than one class, else NotFoundBelow.
 
-    Two nonempty signature buckets prove the split immediately; otherwise
-    the bucket is classified until a second class appears or the dimension
-    is exhausted.
+    Two nonempty signature buckets prove the split once the first records
+    of two of them carry a block certificate; otherwise the bucket is
+    classified until a second class appears or the dimension is exhausted.
     """
     for n in range(1, n_max + 1):
         buckets = _bucketize(_build_records(r, n, budget))
         if len(buckets) > 1:
+            _check_cross_bucket([(buckets[0][0], buckets[1][0])])
             return n
         if buckets and len(_classify_bucket(buckets[0], stop_after=2)) > 1:
             return n

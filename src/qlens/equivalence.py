@@ -17,9 +17,10 @@ verified witness and NotEquivalent with either a modular corner
 obstruction or infeasibility of the system.
 
 Two cheaper tools serve the classification pipeline: distance_normal_form,
-a reduction by column operations alone whose equal forms prove equivalence
-through a composed witness, and block_obstruction, a corner obstruction on
-any contiguous principal block, which proves non-equivalence.
+a reduction R = (A - I)Q by column operations alone, whose Q certifies
+A ~ R + I so that equal forms prove equivalence, and block_obstruction, a
+corner obstruction on any contiguous principal block, which proves
+non-equivalence.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -302,39 +304,30 @@ def block_obstruction(A, B) -> tuple[int, int] | None:
     return None
 
 
-RowOps = tuple[tuple[int, int, int], ...]
-
-
-def _replay(x: Sequence[Sequence[int]], ops: RowOps, inverse: bool = False) -> list[list[int]]:
-    """E_k ... E_1 x for the row operations E_t = (row i += c * row k) of
-    ops, each k > i; with inverse, (E_k ... E_1)^-1 x instead."""
-    out = [list(row) for row in x]
-    if inverse:
-        ops = tuple((i, k, -c) for i, k, c in reversed(ops))
-    for i, k, c in ops:
-        row = out[i]
-        for col, v in enumerate(out[k]):
-            if v:
-                row[col] += c * v
-    return out
-
-
 class NormalForm(NamedTuple):
-    """R = (A - I) Q with Q^-1 unipotent upper triangular, kept as the row
-    operations that build it from I; see distance_normal_form."""
+    """R = (A - I) Q with Q unipotent upper triangular; see
+    distance_normal_form."""
 
     form: IntMatrix
-    q_inv_ops: RowOps
+    Q: IntMatrix
 
-    @property
-    def Q_inv(self) -> list[list[int]]:
-        return _replay(_identity(len(self.form)), self.q_inv_ops)
-
-    def witness_from(self, q_inv_a: Sequence[Sequence[int]]) -> Witness:
-        """(I, Q Q_a^-1): it proves A ~ this matrix when A has the same
-        form, reached as (A - I) Q_a."""
-        v = _replay(q_inv_a, self.q_inv_ops, inverse=True)
-        return Witness(tuple(map(tuple, _identity(len(v)))), tuple(map(tuple, v)))
+    def certifies(self, matrix) -> bool:
+        """True iff Q is unipotent upper triangular and (A - I) Q = R, so
+        that (I, Q) proves A ~ R + I. Each entry of (A - I) Q is a dot
+        product of a row of A with a column of Q, less that entry of Q."""
+        a = getattr(matrix, "entries", matrix)
+        q = self.Q
+        n = len(self.form)
+        if len(a) != n or len(q) != n or any(len(row) != n for row in (*a, *q)):
+            return False
+        if any(row[i] != 1 or any(row[:i]) for i, row in enumerate(q)):
+            return False
+        cols = tuple(zip(*q))
+        return all(
+            sum(map(mul, row, col)) - q[i][j] == r_ij
+            for i, (row, r_row) in enumerate(zip(a, self.form))
+            for j, (col, r_ij) in enumerate(zip(cols, r_row))
+        )
 
 
 def distance_normal_form(matrix) -> NormalForm:
@@ -345,25 +338,25 @@ def distance_normal_form(matrix) -> NormalForm:
     touches only rows 0..i of column j, whose other entries lie at distance
     > d, so every entry is reduced once and stays reduced, and the
     superdiagonal is never changed. Path matrices have g = r throughout.
-    Equal forms of A and B prove A ~ B (NormalForm.witness_from); the
-    converse fails, as the form is not a complete invariant. Each column
-    operation, right-multiplied into Q, is logged as its inverse row
-    operation on Q^-1, row (i+1) += t * row j.
+    Each operation is applied to I as well, giving Q with R = (A - I) Q:
+    (I, Q) proves A ~ R + I (NormalForm.certifies), so equal forms prove
+    equivalence; the converse fails, as the form is not a complete
+    invariant.
     """
     a = getattr(matrix, "entries", matrix)
     n = len(a)
     form = [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    q_inv_ops = []
+    q = _identity(n)
     for d in range(2, n):
         for i in range(n - d):
             j = i + d
             g = form[i][i + 1]
             if not g or not (t := form[i][j] // g):
                 continue
-            for k in range(i + 1):
+            for k in range(i + 2):
                 form[k][j] -= t * form[k][i + 1]
-            q_inv_ops.append((i + 1, j, t))
-    return NormalForm(tuple(map(tuple, form)), tuple(q_inv_ops))
+                q[k][j] -= t * q[k][i + 1]
+    return NormalForm(tuple(map(tuple, form)), tuple(map(tuple, q)))
 
 
 def _upper_positions(n: int) -> list[tuple[int, int]]:

@@ -27,6 +27,7 @@ from qlens.classify import (
 from qlens.cli import main
 from qlens.equivalence import (
     NormalForm,
+    Witness,
     block_obstruction,
     decide_equiv,
     distance_normal_form,
@@ -271,6 +272,10 @@ def test_cross_bucket_check_fires(monkeypatch):
     with pytest.raises(InvariantViolationError, match="representatives .* no block certificate"):
         verify_conjectures(5, 6)
     assert main(["classes", "--r", "5", "--n", "6"]) == 4
+    # phitilde's split rests on the first records of two buckets
+    with pytest.raises(InvariantViolationError, match="representatives .* no block certificate"):
+        phitilde_search(35, 8)
+    assert main(["phitilde", "--r", "35"]) == 4
 
 
 def test_verify_conjectures_solves_each_pair_once(monkeypatch):
@@ -299,37 +304,91 @@ def _matmul(x, y):
 
 def test_normal_form_of_every_record():
     for r, n in [(8, 7), (12, 7), (5, 8), (9, 7)]:
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         for rec in _build_records(r, n, DEFAULT_VECTOR_BUDGET):
             nf = distance_normal_form(rec)
             form = nf.form
             for i in range(n):
                 for j in range(i + 2, n):
                     assert 0 <= form[i][j] < form[i][i + 1] == r, (r, n, rec.m)
-            nq = _matmul(_strict(rec.entries), unipotent_inverse(nf.Q_inv))
-            assert tuple(map(tuple, nq)) == form, (r, n, rec.m)
+            assert tuple(map(tuple, _matmul(_strict(rec.entries), nf.Q))) == form, (r, n, rec.m)
+            # the certificate check agrees with the general witness check
+            form_matrix = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(form)]
+            assert verify_witness(form_matrix, rec, Witness(ident, nf.Q)), (r, n, rec.m)
+            assert nf.certifies(rec), (r, n, rec.m)
+
+
+def test_certifies_rejects_bad_certificates():
+    rec = _build_records(8, 7, DEFAULT_VECTOR_BUDGET)[5]
+    nf = distance_normal_form(rec)
+    assert nf.certifies(rec)
+
+    def changed(nf, i, j, delta):
+        q = [list(row) for row in nf.Q]
+        q[i][j] += delta
+        return NormalForm(nf.form, tuple(map(tuple, q)))
+
+    # column 0 of A - I is zero, so row 0 of Q never reaches the product:
+    # only the unipotency check rejects a non-unit Q[0][0]
+    assert not changed(nf, 0, 0, 1).certifies(rec)
+    assert not changed(nf, 3, 3, -2).certifies(rec)
+    assert not changed(nf, 5, 2, 1).certifies(rec)
+    # one changed entry above the diagonal, outside row 0
+    i, j = next((i, j) for i in range(1, 7) for j in range(i + 1, 7) if nf.Q[i][j])
+    assert not changed(nf, i, j, 1).certifies(rec)
+    # for A = I every Q gives R = 0: below the diagonal, only the
+    # unipotency check rejects it
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    nf_i = distance_normal_form(ident)
+    assert nf_i.certifies(ident) and changed(nf_i, 1, 2, 5).certifies(ident)
+    assert not changed(nf_i, 2, 1, 1).certifies(ident)
+    # a matrix of another size, or a Q of another size
+    assert not nf.certifies(_build_records(8, 6, DEFAULT_VECTOR_BUDGET)[5])
+    assert not nf.certifies([row[:6] for row in rec.entries[:6]])
+    assert not NormalForm(nf.form, tuple(row[:6] for row in nf.Q[:6])).certifies(rec)
 
 
 def test_same_form_witnesses_verify():
     by_form = {}
     for rec in _build_records(8, 7, DEFAULT_VECTOR_BUDGET):
-        by_form.setdefault(distance_normal_form(rec).form, []).append(rec)
+        nf = distance_normal_form(rec)
+        assert nf.certifies(rec)
+        by_form.setdefault(nf.form, []).append((rec, nf.Q))
     assert len(by_form) == 16
+    ident = tuple(tuple(int(i == j) for j in range(7)) for i in range(7))
     for recs in by_form.values():
-        for a, b in itertools.combinations(recs, 2):
-            nf_a = distance_normal_form(a)
-            assert verify_witness(a, b, distance_normal_form(b).witness_from(nf_a.Q_inv))
+        # (A - I) Q_a = R = (B - I) Q_b gives the witness (I, Q_b Q_a^-1)
+        for (a, q_a), (b, q_b) in itertools.combinations(recs, 2):
+            v = tuple(map(tuple, _matmul(q_b, unipotent_inverse(q_a))))
+            assert verify_witness(a, b, Witness(ident, v))
 
 
 def test_corrupted_composition_is_caught(monkeypatch, capsys):
     real = distance_normal_form
 
     def skipping(matrix):
-        # the last column operation skips its update of Q
+        # the last column operation, column j -= t * column p, skips its
+        # update of Q: undo it on the real Q
+        form = _strict(matrix.entries)
+        last = None
+        for d in range(2, len(form)):
+            for i in range(len(form) - d):
+                g = form[i][i + 1]
+                if g and (t := form[i][i + d] // g):
+                    for row in form[: i + 1]:
+                        row[i + d] -= t * row[i + 1]
+                    last = (i + 1, i + d, t)
         nf = real(matrix)
-        return NormalForm(nf.form, nf.q_inv_ops[:-1])
+        assert tuple(map(tuple, form)) == nf.form
+        q = [list(row) for row in nf.Q]
+        if last:
+            p, j, t = last
+            for row in q:
+                row[j] += t * row[p]
+        return NormalForm(nf.form, tuple(map(tuple, q)))
 
     monkeypatch.setattr(qlens.classify, "distance_normal_form", skipping)
-    with pytest.raises(InvariantViolationError, match="composed witness .* fails verification"):
+    with pytest.raises(InvariantViolationError, match="normal form certificate for .* fails verification"):
         partition_classes(8, 7)
     assert main(["classes", "--r", "8", "--n", "7"]) == 4
     assert "fails verification" in capsys.readouterr().err

@@ -178,6 +178,18 @@ def test_phitilde_bad_r_exit_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("r", ["1", "0", "-7"])
+@pytest.mark.parametrize(
+    "argv",
+    [("classes", "--n", "4"), ("verify", "--suite", "conjectures"), ("phitilde",)],
+)
+def test_small_modulus_exit_2(capsys, argv, r):
+    code, out, err = run(capsys, *argv, "--r", r)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: modulus r must be an integer > 2, got {r}\n"
+
+
 def test_verify_lemmas(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--r", "9,12")
     assert code == 0

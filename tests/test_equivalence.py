@@ -479,15 +479,20 @@ def test_distance_normal_form_general_matrices():
         nf = distance_normal_form(a)
         form = nf.form
         strict = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
-        assert [list(row) for row in form] == matmul(strict, unipotent_inverse(nf.Q_inv))
+        assert [list(row) for row in form] == matmul(strict, nf.Q)
+        assert nf.certifies(a)
         for i in range(n):
             for j in range(i + 2, n):
                 g = form[i][i + 1]
                 assert g == 0 or form[i][j] == form[i][j] % g
-        # a transformed copy with the same form joins through a verified witness
+        # a transformed copy is certified against its own form; an equal
+        # form gives the witness (I, Q_b Q_a^-1) by transitivity
         u = _random_unipotent(rng, n)
         v = _random_unipotent(rng, n)
         b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(matmul(matmul(u, strict), v))]
         nf_b = distance_normal_form(b)
+        assert nf_b.certifies(b)
         if nf_b.form == form:
-            assert verify_witness(a, b, nf_b.witness_from(nf.Q_inv))
+            ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            v = tuple(map(tuple, matmul(nf_b.Q, unipotent_inverse(nf.Q))))
+            assert verify_witness(a, b, Witness(ident, v))
