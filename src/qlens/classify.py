@@ -7,18 +7,18 @@ matrices come from one depth-first walk over m_3..m_{n-1} that shares the
 row DP of every common prefix; each distinct matrix keeps its first
 (smallest) vector in itertools.product order.
 
-One pipeline serves partition_classes, verify_conjectures and
-phitilde_search: matrices are bucketed by signature (classes never span
-buckets), then each bucket is reduced, then joined. Every matrix A is
-brought to its distance-order normal form R = (A - I)Q, and its own
-certificate (I, Q) of A ~ R + I is checked, so matrices of one form are
-equivalent by transitivity. Only a matrix with a new form runs the
+One pipeline serves partition_classes and phitilde_search, and
+verify_conjectures is a report over partition_classes: matrices are
+bucketed by signature (classes never span buckets), then each bucket is
+reduced, then joined. Every matrix A is brought to its distance-order
+normal form R = (A - I)Q, and its own certificate (I, Q) of A ~ R + I is
+checked, so matrices of one form are equivalent by transitivity. Only a matrix with a new form runs the
 representative-first union-find, joining the first class whose
 representative it is equivalent to; this is exact too, since
 representatives are pairwise non-equivalent by construction. A partition
-must meet the proven lower bound, and representatives of different
-buckets must carry a block certificate of non-equivalence; the solver is
-never asked across buckets.
+must meet the proven lower bound, and every pair of representatives of
+different buckets must carry a block certificate of non-equivalence; the
+solver is never asked across buckets.
 """
 
 from __future__ import annotations
@@ -220,38 +220,11 @@ def _classify_bucket(
     return groups
 
 
-def _classify(
-    r: int, n: int, budget: int, jobs: int | None, use_signature_buckets: bool
-) -> tuple[list[tuple[MatrixRecord, list[MatrixRecord]]], int]:
-    """The (r, n) classes as (representative, members), sorted by signature
-    and representative vector, with the proven lower bound they meet."""
-    records = _build_records(r, n, budget)
-    buckets = _bucketize(records) if use_signature_buckets else [records]
-    large = len(buckets) > 1 and len(records) >= POOL_MIN_RECORDS
-    if jobs is not None and jobs > 1 and large:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            grouped = list(pool.map(_classify_bucket, buckets, chunksize=1))
-    else:
-        grouped = [_classify_bucket(bucket) for bucket in buckets]
-    classes = sorted(
-        (
-            (bucket[group[0]], [bucket[i] for i in group])
-            for bucket, groups in zip(buckets, grouped)
-            for group in groups
-        ),
-        key=lambda c: (c[0].signature.as_tuple(), c[0].m),
-    )
-    bound = lower_bound_classes(r, n)
-    if len(classes) < bound:
-        raise InvariantViolationError(
-            f"found {len(classes)} classes for (r={r}, n={n}), below the proven bound {bound}"
-        )
-    return classes, bound
-
-
 def _check_cross_bucket(pairs: Iterable[tuple[MatrixRecord, MatrixRecord]]) -> None:
-    """Representatives with different signatures must carry a block
-    certificate of non-equivalence (block_obstruction, O(n^2) gcds).
+    """Each pair of representatives with different signatures must carry
+    a block certificate of non-equivalence (block_obstruction, O(n^2)
+    gcds). partition_classes passes every pair of its representatives;
+    phitilde_search passes the one pair that proves its split.
 
     The signature's invariance proof is such a certificate: where the
     windows for an odd prime p (p^alpha exactly dividing r) differ at t,
@@ -274,17 +247,39 @@ def partition_classes(
     jobs: int | None = None,
     use_signature_buckets: bool = True,
 ) -> ClassPartition:
-    """Exact partition of the (r, n) matrices into equivalence classes.
+    """Exact partition of the (r, n) matrices into equivalence classes,
+    sorted by signature and representative vector, meeting the proven
+    lower bound.
 
     With use_signature_buckets=False the solver alone produces the
     partition, which is slower but does not rely on the signature being
-    an invariant; the two modes must agree. With buckets, adjacent classes
-    of different signatures are checked to be non-equivalent.
+    an invariant; the two modes must agree. With buckets, every pair of
+    representatives with different signatures must carry a block
+    certificate of non-equivalence.
     """
-    classes, bound = _classify(r, n, budget, jobs, use_signature_buckets)
-    reps = [rep for rep, _ in classes]
+    records = _build_records(r, n, budget)
+    buckets = _bucketize(records) if use_signature_buckets else [records]
+    large = len(buckets) > 1 and len(records) >= POOL_MIN_RECORDS
+    if jobs is not None and jobs > 1 and large:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            grouped = list(pool.map(_classify_bucket, buckets, chunksize=1))
+    else:
+        grouped = [_classify_bucket(bucket) for bucket in buckets]
+    classes = sorted(
+        (
+            (bucket[group[0]], [bucket[i] for i in group])
+            for bucket, groups in zip(buckets, grouped)
+            for group in groups
+        ),
+        key=lambda c: (c[0].signature.as_tuple(), c[0].m),
+    )
+    bound = lower_bound_classes(r, n)
+    if len(classes) < bound:
+        raise InvariantViolationError(
+            f"found {len(classes)} classes for (r={r}, n={n}), below the proven bound {bound}"
+        )
     if use_signature_buckets:
-        _check_cross_bucket(zip(reps, reps[1:]))
+        _check_cross_bucket(itertools.combinations([rep for rep, _ in classes], 2))
     out = tuple(
         ClassRecord(
             rep.m,
@@ -358,27 +353,23 @@ def verify_conjectures(
     budget: int = DEFAULT_VECTOR_BUDGET,
     jobs: int | None = None,
 ) -> ConjectureReport:
-    """Run the three conjecture experiments on the full (r, n) partition.
+    """Run the three conjecture experiments on partition_classes(r, n).
 
     (a) equal signature iff equivalent: every bucket collapses to one
-    class and all cross-bucket representative pairs are non-equivalent;
-    (b) phi equals the closed-form product; (c) all classes have the
-    same number of members (vectors measure decides; the matrices
-    measure is reported separately). When 4 | r the three are not
-    claimed and, as in partition_classes, only adjacent classes are
-    checked across buckets.
+    class (the partition has already certified every cross-bucket
+    representative pair non-equivalent); (b) phi equals the closed-form
+    product; (c) all classes have the same number of members (vectors
+    measure decides; the matrices measure is reported separately). When
+    4 | r the three are not claimed.
     """
-    classes, bound = _classify(r, n, budget, jobs, True)
-    reps = [rep for rep, _ in classes]
-    phi = len(reps)
-    buckets = Counter(rep.signature.as_tuple() for rep in reps)
+    part = partition_classes(r, n, budget, jobs)
+    phi, bound = part.phi, part.lower_bound
+    buckets = Counter(c.signature.as_tuple() for c in part.classes)
     if r % 4 == 0:
-        _check_cross_bucket(zip(reps, reps[1:]))
         return ConjectureReport(r, n, phi, bound, len(buckets), None, None, None, None, ())
-    _check_cross_bucket(itertools.combinations(reps, 2))
     split = [key for key, count in buckets.items() if count > 1]
-    vec_sizes = sorted({sum(m.vector_count for m in members) for _, members in classes})
-    mat_sizes = sorted({len(members) for _, members in classes})
+    vec_sizes = sorted({c.size for c in part.classes})
+    mat_sizes = sorted({c.size_matrices for c in part.classes})
     details = []
     if split:
         details.append(f"buckets with more than one class: {split}")

@@ -96,10 +96,6 @@ class LensGraph:
     def n(self) -> int:
         return len(self.m)
 
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(sorted(self.adjacency))
-
     def out_neighbors(self, s: int, t: int) -> tuple[Vertex, ...]:
         key = (s, t % self.r)
         if key not in self.adjacency:

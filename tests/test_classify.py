@@ -15,7 +15,6 @@ import qlens.pathmatrix
 from qlens.errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
 from qlens.classify import (
     DEFAULT_VECTOR_BUDGET,
-    _classify,
     ClassPartition,
     NotFoundBelow,
     enumerate_matrices,
@@ -278,6 +277,36 @@ def test_cross_bucket_check_fires(monkeypatch):
     assert main(["phitilde", "--r", "35"]) == 4
 
 
+def _failing_one_pair(monkeypatch, a_m, b_m):
+    # a block scan that finds no certificate for the one pair {a_m, b_m}
+    real = block_obstruction
+    bad = frozenset((a_m, b_m))
+    monkeypatch.setattr(
+        qlens.classify,
+        "block_obstruction",
+        lambda a, b: None if frozenset((a.m, b.m)) == bad else real(a, b),
+    )
+
+
+def test_cross_bucket_check_covers_non_adjacent_pairs(monkeypatch):
+    # (5, 6): 4 classes in 4 buckets; classes 0 and 2 are not adjacent
+    classes = partition_classes(5, 6).classes
+    assert len({c.signature for c in classes}) == len(classes) == 4
+    _failing_one_pair(monkeypatch, classes[0].representative_m, classes[2].representative_m)
+    with pytest.raises(InvariantViolationError, match="representatives .* no block certificate"):
+        partition_classes(5, 6)
+    assert main(["classes", "--r", "5", "--n", "6"]) == 4
+    monkeypatch.undo()
+    # (12, 6), where 4 | r: 16 classes in 8 buckets; the first and last
+    # classes are not adjacent
+    classes = partition_classes(12, 6).classes
+    assert len(classes) == 16 and len({c.signature for c in classes}) == 8
+    assert classes[0].signature != classes[-1].signature
+    _failing_one_pair(monkeypatch, classes[0].representative_m, classes[-1].representative_m)
+    with pytest.raises(InvariantViolationError, match="representatives .* no block certificate"):
+        verify_conjectures(12, 6)
+
+
 def test_verify_conjectures_solves_each_pair_once(monkeypatch):
     pairs = []
 
@@ -394,14 +423,20 @@ def test_corrupted_composition_is_caught(monkeypatch, capsys):
     assert "fails verification" in capsys.readouterr().err
 
 
-def test_block_scan_separates_cross_signature_representatives():
-    classes, _ = _classify(15, 6, DEFAULT_VECTOR_BUDGET, None, True)
-    reps = [rep for rep, _ in classes]
-    pairs = [(a, b) for a, b in itertools.combinations(reps, 2) if a.signature != b.signature]
-    # 32 classes, one per signature
-    assert len(pairs) == 496
-    for a, b in pairs:
-        assert block_obstruction(a, b) is not None, (a.m, b.m)
+def test_block_scan_separates_cross_signature_representatives(monkeypatch):
+    scanned = []
+
+    def recording(a, b):
+        obstruction = block_obstruction(a, b)
+        scanned.append((frozenset((a.m, b.m)), obstruction))
+        return obstruction
+
+    monkeypatch.setattr(qlens.classify, "block_obstruction", recording)
+    part = partition_classes(15, 6)
+    # 32 classes, one per signature: every pair is scanned once and certified
+    assert part.phi == len({c.signature for c in part.classes}) == 32
+    assert len(scanned) == len({pair for pair, _ in scanned}) == 496
+    assert all(obstruction is not None for _, obstruction in scanned)
     # seeded record pairs, where p^2 | r or 4 | r as well
     for r, n in [(9, 6), (45, 5), (36, 5), (12, 7), (20, 6)]:
         records = _build_records(r, n, DEFAULT_VECTOR_BUDGET)
