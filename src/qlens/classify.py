@@ -18,7 +18,8 @@ representative it is equivalent to; this is exact too, since
 representatives are pairwise non-equivalent by construction. A partition
 must meet the proven lower bound, and every pair of representatives of
 different buckets must carry a block certificate of non-equivalence; the
-solver is never asked across buckets.
+solver is never asked across buckets. phitilde_search stops each walk at
+the second signature and block-certifies that pair.
 """
 
 from __future__ import annotations
@@ -126,12 +127,16 @@ class NotFoundBelow:
     n_max: int
 
 
-def _build_records(r: int, n: int, budget: int) -> list[MatrixRecord]:
+def _build_records(
+    r: int, n: int, budget: int, stop_at_split: bool = False
+) -> list[MatrixRecord]:
     """Distinct matrices in lexicographic first-occurrence order.
 
     Vectors producing the same matrix must agree on the signature; that
-    consistency is asserted here because the buckets downstream would be
-    ill-defined otherwise.
+    consistency is asserted on every walked vector because the buckets
+    downstream would be ill-defined otherwise. With stop_at_split the walk
+    ends at the first vector whose windows differ from the first vector's:
+    its record comes last, and the counts of the others are partial.
     """
     if r <= 2:
         raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
@@ -149,6 +154,7 @@ def _build_records(r: int, n: int, budget: int) -> list[MatrixRecord]:
     # entries -> (first vector, its windows); counts key on that short vector
     first: dict[tuple[tuple[int, ...], ...], tuple] = {}
     counts: Counter = Counter()
+    lead = None
     for vec, entries in _normalized_walk(r, n, units):
         windows = window_products(primes, vec)
         seen = first.setdefault(entries, (vec, windows))
@@ -158,6 +164,10 @@ def _build_records(r: int, n: int, budget: int) -> list[MatrixRecord]:
                 f"on the signature"
             )
         counts[seen[0]] += 1
+        if lead is None:
+            lead = windows
+        elif stop_at_split and windows != lead:
+            break
     signatures = {w: Signature(primes, w) for w in {w for _, w in first.values()}}
     return [
         MatrixRecord(r, vec, entries, signatures[windows], counts[vec])
@@ -300,16 +310,18 @@ def phitilde_search(
 ) -> int | NotFoundBelow:
     """Smallest n <= n_max with more than one class, else NotFoundBelow.
 
-    Two nonempty signature buckets prove the split once the first records
-    of two of them carry a block certificate; otherwise the bucket is
-    classified until a second class appears or the dimension is exhausted.
+    Each dimension's walk stops at the first vector whose signature differs
+    from the first vector's; that pair proves the split once it carries a
+    block certificate. A walk that ends with one signature leaves one
+    bucket, which is classified until a second class appears or the
+    dimension is exhausted.
     """
     for n in range(1, n_max + 1):
-        buckets = _bucketize(_build_records(r, n, budget))
-        if len(buckets) > 1:
-            _check_cross_bucket([(buckets[0][0], buckets[1][0])])
+        records = _build_records(r, n, budget, stop_at_split=True)
+        if records[0].signature != records[-1].signature:
+            _check_cross_bucket([(records[0], records[-1])])
             return n
-        if buckets and len(_classify_bucket(buckets[0], stop_after=2)) > 1:
+        if len(_classify_bucket(records, stop_after=2)) > 1:
             return n
     return NotFoundBelow(n_max)
 

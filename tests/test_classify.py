@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
@@ -210,9 +211,48 @@ def test_phitilde_search_examples():
 
 
 def test_phitilde_search_matches_formula_small():
-    for r in (3, 5, 6, 9, 12, 15, 21):
+    for r in (3, 5, 6, 9, 12, 15, 21, 25, 45, 55, 65, 85, 95):
         expected = phitilde_formula(r)
         assert phitilde_search(r, 8) == expected, r
+
+
+def _record_walks(monkeypatch):
+    # vectors walked per dimension, and the dimension of every solver call
+    walked, solved = Counter(), []
+
+    def walk(r, n, units):
+        for item in _normalized_walk(r, n, units):
+            walked[n] += 1
+            yield item
+
+    def recording(a, b):
+        solved.append(len(a.m))
+        return decide_equiv(a, b)
+
+    monkeypatch.setattr(qlens.classify, "_normalized_walk", walk)
+    monkeypatch.setattr(qlens.classify, "decide_equiv", recording)
+    return walked, solved
+
+
+def test_phitilde_search_stops_at_second_signature(monkeypatch):
+    # n = 6 has 40^3 = 64,000 vectors at r = 55; the second signature
+    # appears among the first, and its pair needs no solver call
+    walked, solved = _record_walks(monkeypatch)
+    assert phitilde_search(55, 8) == 6
+    assert 0 < walked[6] < 100
+    assert 6 not in solved
+    assert max(walked) == 6
+
+
+def test_phitilde_budget_refuses_the_split_dimension_unwalked(monkeypatch, capsys):
+    walked, _ = _record_walks(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        phitilde_search(55, 8, budget=10_000)
+    assert 6 not in walked and walked[5] == 40**2
+    assert main(["phitilde", "--r", "55", "--budget", "10000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration needs 64000 vectors, exceeding the budget of 10000\n"
 
 
 def test_phitilde_search_power_of_two():

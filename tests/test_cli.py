@@ -285,13 +285,31 @@ PINNED_OUTPUTS = [
         '"witness":{"U":[["1","0","0"],["0","1","0"],["0","0","1"]],'
         '"V":[["1","0","0"],["0","1","0"],["0","0","1"]]},"obstruction":null}\n',
     ),
+    (
+        ("phitilde", "--r", "55", "--format", "json"),
+        '{"r":55,"formula":6,"search":6,"n_max":8,"match":true}\n',
+    ),
+    (("phitilde", "--r", "35"), "formula 6, search 6\n"),
+    (
+        ("phitilde", "--r", "35", "--n-max", "5", "--format", "json"),
+        '{"r":35,"formula":6,"search":null,"n_max":5,"match":true}\n',
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     PINNED_OUTPUTS,
-    ids=["classes-json", "classes-csv", "verify-json", "equiv-obstruction", "equiv-witness"],
+    ids=[
+        "classes-json",
+        "classes-csv",
+        "verify-json",
+        "equiv-obstruction",
+        "equiv-witness",
+        "phitilde-55-json",
+        "phitilde-35-plain",
+        "phitilde-35-not-found-json",
+    ],
 )
 def test_output_bytes_pinned(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
