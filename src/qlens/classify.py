@@ -261,17 +261,18 @@ def partition_classes(
     sorted by signature and representative vector, meeting the proven
     lower bound.
 
-    With use_signature_buckets=False the solver alone produces the
-    partition, which is slower but does not rely on the signature being
-    an invariant; the two modes must agree. With buckets, every pair of
-    representatives with different signatures must carry a block
-    certificate of non-equivalence.
+    With use_signature_buckets=False the partition is computed without
+    signature buckets (forms and the solver over all records), which is
+    slower but does not rely on the signature being an invariant; the two
+    modes must agree. With buckets, every pair of representatives with
+    different signatures must carry a block certificate of
+    non-equivalence. Large cells use at most one process per bucket.
     """
     records = _build_records(r, n, budget)
     buckets = _bucketize(records) if use_signature_buckets else [records]
     large = len(buckets) > 1 and len(records) >= POOL_MIN_RECORDS
     if jobs is not None and jobs > 1 and large:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(buckets))) as pool:
             grouped = list(pool.map(_classify_bucket, buckets, chunksize=1))
     else:
         grouped = [_classify_bucket(bucket) for bucket in buckets]

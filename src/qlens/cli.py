@@ -279,9 +279,10 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="worker processes (default: QLENS_JOBS or the CPU count), started only"
-            f" by matrix and equiv at r*n^2 >= {POOL_MIN_ROW_STEPS} and by classes and"
-            f" verify at >= {POOL_MIN_RECORDS} distinct matrices in more than one"
-            " signature bucket; phitilde ignores it",
+            f" by matrix and equiv at r*n^2 >= {POOL_MIN_ROW_STEPS}, at most one per"
+            f" row, and by classes and verify at >= {POOL_MIN_RECORDS} distinct matrices"
+            " in more than one signature bucket, at most one per bucket; phitilde"
+            " ignores it",
         )
 
     p_matrix = sub.add_parser("matrix", help="print the path-counting matrix")

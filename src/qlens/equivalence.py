@@ -9,16 +9,18 @@ equation per strictly-upper position:
     sum_{i<k<j} (A-I)[k][j] * U'[i][k]
   - sum_{i<k<j} (B-I)[i][k] * V'[k][j]  =  B[i][j] - A[i][j].
 
-The system is solved completely over the integers by a column-echelon
-elimination with forward substitution on sparse {row: value} columns; the
-column operations are logged and replayed in reverse on the pivot values
-to give the solution. Every verdict is exact: Equivalent comes with a
-verified witness and NotEquivalent with either a modular corner
+decide_equiv builds the system as sparse {row: value} columns straight
+from A and B, and solves it completely over the integers by a
+column-echelon elimination with forward substitution; the column
+operations are logged and replayed in reverse on the pivot values to give
+the solution. Every verdict is exact: Equivalent comes with a witness
+checked as UA - U = BV - V and NotEquivalent with either a modular corner
 obstruction or infeasibility of the system.
 
 Two cheaper tools serve the classification pipeline: distance_normal_form,
 a reduction R = (A - I)Q by column operations alone, whose Q certifies
-A ~ R + I so that equal forms prove equivalence, and block_obstruction, a
+A ~ R + I (checked as AQ - Q = R by the same dot-product kernel as
+witnesses) so that equal forms prove equivalence, and block_obstruction, a
 corner obstruction on any contiguous principal block, which proves
 non-equivalence.
 """
@@ -29,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -136,23 +138,42 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _matmul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
-    inner = len(y)
-    cols = len(y[0]) if inner else 0
-    out = []
-    for row in x:
-        acc = [0] * cols
-        for k, xv in enumerate(row):
-            if xv:
-                yk = y[k]
-                for j in range(cols):
-                    acc[j] += xv * yk[j]
-        out.append(acc)
-    return out
+def _unitriangular(m, n: int) -> bool:
+    """True iff m is n x n, unipotent and upper triangular."""
+    return len(m) == n and all(
+        len(row) == n and row[i] == 1 and not any(row[:i]) for i, row in enumerate(m)
+    )
+
+
+def _product_minus(x, y_columns, z) -> list[list[int]]:
+    """XY - Z with Y given by its columns: one dot product per entry."""
+    return [
+        [sum(map(mul, row, col)) - z_ij for col, z_ij in zip(y_columns, z_row)]
+        for row, z_row in zip(x, z)
+    ]
 
 
 def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
     """One integer solution x of M*x = c, or None when infeasible.
+
+    M is converted once to sparse columns and solved by _solve_columns.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    residual = [int(v) for v in c]
+    if len(residual) != rows:
+        raise DimensionMismatchError(
+            f"right-hand side has {len(residual)} entries for {rows} equations"
+        )
+    if any(len(row) != cols for row in matrix):
+        raise DimensionMismatchError("matrix rows must have equal length")
+    columns = [{i: int(v) for i, v in enumerate(column) if v} for column in zip(*matrix)]
+    return _solve_columns(columns, residual)
+
+
+def _solve_columns(columns: list[dict[int, int]], c: list[int]) -> tuple[int, ...] | None:
+    """One integer solution of the system with these columns and right-hand
+    side c, or None when infeasible; columns and c are consumed.
 
     Column-echelon solve (Cohen, A Course in Computational Algebraic
     Number Theory, section 2.4) on sparse columns, each a {row: value}
@@ -166,20 +187,11 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
     operation (j, p, q), column j -= q * column p, is logged, and x = T*y
     follows from the pivot values y by replaying the log in reverse.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    residual = [int(v) for v in c]
-    if len(residual) != rows:
-        raise DimensionMismatchError(
-            f"right-hand side has {len(residual)} entries for {rows} equations"
-        )
-    if any(len(row) != cols for row in matrix):
-        raise DimensionMismatchError("matrix rows must have equal length")
-    columns = [{i: int(v) for i, v in enumerate(column) if v} for column in zip(*matrix)]
+    cols = len(columns)
     free = list(range(cols))
     y = [0] * cols
     log: list[tuple[int, int, int]] = []
-    for i in range(rows):
+    for i in range(len(c)):
         live = [j for j in free if i in columns[j]]
         while len(live) > 1:
             p = min(live, key=lambda j: abs(columns[j][i]))
@@ -196,16 +208,16 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
                             del col[k]
             live = [j for j in live if i in columns[j]]
         if not live:
-            if residual[i]:
+            if c[i]:
                 return None
             continue
         p = live[0]
         free.remove(p)
-        y[p], rem = divmod(residual[i], columns[p][i])
+        y[p], rem = divmod(c[i], columns[p][i])
         if rem:
             return None
         for k, v in columns[p].items():
-            residual[k] -= y[p] * v
+            c[k] -= y[p] * v
     for j, p, q in reversed(log):
         y[p] -= q * y[j]
     return tuple(y)
@@ -318,16 +330,9 @@ class NormalForm(NamedTuple):
         a = getattr(matrix, "entries", matrix)
         q = self.Q
         n = len(self.form)
-        if len(a) != n or len(q) != n or any(len(row) != n for row in (*a, *q)):
+        if len(a) != n or any(len(row) != n for row in a) or not _unitriangular(q, n):
             return False
-        if any(row[i] != 1 or any(row[:i]) for i, row in enumerate(q)):
-            return False
-        cols = tuple(zip(*q))
-        return all(
-            sum(map(mul, row, col)) - q[i][j] == r_ij
-            for i, (row, r_row) in enumerate(zip(a, self.form))
-            for j, (col, r_ij) in enumerate(zip(cols, r_row))
-        )
+        return _product_minus(a, tuple(zip(*q)), q) == list(map(list, self.form))
 
 
 def distance_normal_form(matrix) -> NormalForm:
@@ -364,23 +369,6 @@ def _upper_positions(n: int) -> list[tuple[int, int]]:
     return [(i, k) for i in range(n) for k in range(i + 1, n)]
 
 
-def _build_system(a: IntMatrix, b: IntMatrix) -> tuple[list[list[int]], list[int], int]:
-    """Equations over the strictly-upper unknowns of U' then V', row-major."""
-    positions = _upper_positions(len(a))
-    index = {pos: col for col, pos in enumerate(positions)}
-    half = len(positions)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i, j in positions:
-        row = [0] * (2 * half)
-        for k in range(i + 1, j):
-            row[index[i, k]] += a[k][j]
-            row[half + index[k, j]] -= b[i][k]
-        rows.append(row)
-        rhs.append(b[i][j] - a[i][j])
-    return rows, rhs, half
-
-
 def _witness_from_solution(n: int, half: int, x: tuple[int, ...]) -> Witness:
     u = _identity(n)
     v = _identity(n)
@@ -414,8 +402,14 @@ def decide_equiv(A, B, use_prefilter: bool = True) -> EquivDecision:
         obstruction = _best_corner_obstruction(a, b)
         if obstruction is not None:
             return EquivDecision(False, obstruction.describe(), None, obstruction)
-    rows, rhs, half = _build_system(a, b)
-    x = solve_diophantine(rows, rhs)
+    # sparse columns, U' then V': U'[i][k] enters equation (i, j) as
+    # a[k][j] for j > k, V'[k][j] enters it as -b[i][k] for i < k
+    positions = _upper_positions(n)
+    eq = {pos: e for e, pos in enumerate(positions)}
+    columns = [{eq[i, j]: a[k][j] for j in range(k + 1, n) if a[k][j]} for i, k in positions]
+    columns += [{eq[i, j]: -b[i][k] for i in range(k) if b[i][k]} for k, j in positions]
+    half = len(positions)
+    x = _solve_columns(columns, [b[i][j] - a[i][j] for i, j in positions])
     if x is None:
         return EquivDecision(False, "Diophantine system infeasible")
     witness = _witness_from_solution(n, half, x)
@@ -425,25 +419,16 @@ def decide_equiv(A, B, use_prefilter: bool = True) -> EquivDecision:
 
 
 def verify_witness(A, B, witness: Witness) -> bool:
-    """True iff U, V are unipotent upper triangular and U(A-I) = (B-I)V."""
+    """True iff U, V are unipotent upper triangular and U(A-I) = (B-I)V,
+    checked as UA - U = BV - V in 2n^2 dot products."""
     a = _as_entries(A)
     b = _as_entries(B)
     n = len(a)
     u = witness.U
     v = witness.V
-    for mat in (u, v):
-        if len(mat) != n or any(len(row) != n for row in mat):
-            return False
-        for i in range(n):
-            if mat[i][i] != 1:
-                return False
-            if any(mat[i][j] for j in range(i)):
-                return False
-    if len(b) != n:
+    if len(b) != n or not (_unitriangular(u, n) and _unitriangular(v, n)):
         return False
-    a_minus = [[a[i][j] - int(i == j) for j in range(n)] for i in range(n)]
-    b_minus = [[b[i][j] - int(i == j) for j in range(n)] for i in range(n)]
-    return _matmul(u, a_minus) == _matmul(b_minus, v)
+    return _product_minus(u, tuple(zip(*a)), u) == _product_minus(b, tuple(zip(*v)), v)
 
 
 def submatrix_necessary(A, B, b: int, c: int) -> bool:

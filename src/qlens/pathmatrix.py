@@ -230,13 +230,13 @@ def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
     """Path-count matrix of (r; m) in O(n^2 * r) time.
 
     With jobs > 1 and at least POOL_MIN_ROW_STEPS row steps, the
-    per-source rows are computed in a process pool; assembly order is
-    fixed, so the result is identical either way.
+    per-source rows are computed in a pool of at most n processes;
+    assembly order is fixed, so the result is identical either way.
     """
     r, m, n = params.r, params.m, params.n
     sources = range(1, n + 1)
     if jobs is not None and jobs > 1 and r * n * n >= POOL_MIN_ROW_STEPS:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
             tails = list(pool.map(_count_row, [r] * n, [m] * n, sources))
     else:
         tails = [_count_row(r, m, i) for i in sources]

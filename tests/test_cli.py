@@ -286,6 +286,17 @@ PINNED_OUTPUTS = [
         '"V":[["1","0","0"],["0","1","0"],["0","0","1"]]},"obstruction":null}\n',
     ),
     (
+        ("equiv", "--r", "5", "--m1", "1,1,1,1", "--m2", "1,3,1,1", "--format", "json"),
+        '{"equivalent":true,"reason":"witness found",'
+        '"witness":{"U":[["1","0","1","0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]],'
+        '"V":[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]]},'
+        '"obstruction":null}\n',
+    ),
+    (
+        ("equiv", "--r", "4", "--m1", "1,1,1,1,3,1,3,3,1", "--m2", "1,1,3,3,1,1,3,1,1", "--format", "json"),
+        '{"equivalent":false,"reason":"Diophantine system infeasible","witness":null,"obstruction":null}\n',
+    ),
+    (
         ("phitilde", "--r", "55", "--format", "json"),
         '{"r":55,"formula":6,"search":6,"n_max":8,"match":true}\n',
     ),
@@ -306,6 +317,8 @@ PINNED_OUTPUTS = [
         "verify-json",
         "equiv-obstruction",
         "equiv-witness",
+        "equiv-solved-witness",
+        "equiv-infeasible",
         "phitilde-55-json",
         "phitilde-35-plain",
         "phitilde-35-not-found-json",
@@ -342,13 +355,22 @@ PINNED_DIGESTS = [
         ("classes", "--r", "9", "--n", "7", "--format", "json"),
         "eef487c9270240f3fc8064ef43794f1b2b5fa4604c45532a2f2def7dcda21a5d",
     ),
+    # a 12x12 system solved for its witness
+    (
+        ("equiv", "--r", "13", "--m1", "1,2,3,4,5,6,7,8,9,10,11,12",
+         "--m2", "1,5,3,4,5,6,7,8,9,10,11,12", "--format", "json"),
+        "c018c112656b65c20670b62c6e17b36ee5dfc4111f5b0a98944d36add9feba0c",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     PINNED_DIGESTS,
-    ids=["classes-12-7-json", "classes-5-7-csv", "classes-8-7-json", "classes-5-8-json", "classes-9-7-json"],
+    ids=[
+        "classes-12-7-json", "classes-5-7-csv", "classes-8-7-json", "classes-5-8-json",
+        "classes-9-7-json", "equiv-13-solved-json",
+    ],
 )
 def test_output_digest_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
@@ -439,6 +461,37 @@ def test_small_inputs_start_no_pool(capsys, monkeypatch):
     )
     assert code == 0
     assert out.startswith("Equivalent")
+
+
+def test_pool_width_capped_at_work(monkeypatch):
+    # A stand-in executor that starts no process: map runs in process and
+    # each pool's width and task count are recorded.
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.record = [max_workers, 0]
+            pools.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            results = list(map(fn, *iterables))
+            self.record[1] = len(results)
+            return results
+
+    monkeypatch.setattr(qlens.classify, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(qlens.pathmatrix, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
+    assert partition_classes(5, 7, jobs=10**6) == partition_classes(5, 7)
+    params = LensParams(7, (1, 2, 3))
+    assert count_matrix(params, jobs=10**6) == count_matrix(params)
+    # (5, 7) has 16 signature buckets; the matrix has 3 rows
+    assert pools == [[16, 16], [3, 3]]
 
 
 @pytest.mark.parametrize(

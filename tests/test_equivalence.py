@@ -373,6 +373,46 @@ def test_verify_witness_rejects_tampering():
     assert not verify_witness(a, b, Witness(tuple(tuple(r) for r in u), w.V))
 
 
+def test_verify_witness_matches_reference_product():
+    # B - I = U (A - I) V^-1 makes (U, V) a witness; the file's own matmul
+    # is the reference. A has a nonzero superdiagonal, so a changed U[0][1]
+    # changes row 0 of U(A - I); U[i][n-1] meets row n-1 of A - I and V[0][j]
+    # meets column 0 of B - I, both zero, so those entries are free.
+    rng = random.Random(1616)
+
+    def strict(m):
+        return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+    def holds(a, b, u, v):
+        return matmul(u, strict(a)) == matmul(strict(b), v)
+
+    def changed(m, i, j):
+        m = [list(row) for row in m]
+        m[i][j] += 1
+        return tuple(map(tuple, m))
+
+    for n in range(1, 7):
+        for _ in range(20):
+            a = [list(row) for row in random_unipotent(rng, n)]
+            for i in range(n - 1):
+                a[i][i + 1] = rng.choice([-3, -2, -1, 1, 2, 3])
+            u = random_unipotent(rng, n)
+            v = random_unipotent(rng, n)
+            prod = matmul(matmul(u, strict(a)), unipotent_inverse(v))
+            b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(prod)]
+            cases = [(u, v, True)]
+            if n >= 2:
+                cases.append((changed(u, 0, 1), v, n < 3))
+                cases.append((changed(u, rng.randrange(n - 1), n - 1), v, True))
+                cases.append((u, changed(v, 0, rng.randrange(1, n)), True))
+            for uu, vv, expected in cases:
+                assert holds(a, b, uu, vv) == expected
+                assert verify_witness(a, b, Witness(uu, vv)) == expected, (a, b, uu, vv)
+    short = (u[0], u[1][:-1]) + u[2:]
+    assert verify_witness(a, b, Witness(short, v)) is False
+    assert verify_witness(a, b, Witness(u, v[:-1] + (v[-1][1:],))) is False
+
+
 def test_submatrix_necessary():
     a = count_matrix(LensParams(3, (1, 1, 1, 1)))
     b = count_matrix(LensParams(3, (1, 2, 1, 1)))
