@@ -68,7 +68,6 @@ class MatrixRecord:
     """One distinct matrix (its m is the smallest producing vector), its
     signature, and how many normalized vectors produce it."""
 
-    r: int
     m: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
     signature: Signature
@@ -170,7 +169,7 @@ def _build_records(
             break
     signatures = {w: Signature(primes, w) for w in {w for _, w in first.values()}}
     return [
-        MatrixRecord(r, vec, entries, signatures[windows], counts[vec])
+        MatrixRecord(vec, entries, signatures[windows], counts[vec])
         for entries, (vec, windows) in first.items()
     ]
 

@@ -9,12 +9,13 @@ equation per strictly-upper position:
     sum_{i<k<j} (A-I)[k][j] * U'[i][k]
   - sum_{i<k<j} (B-I)[i][k] * V'[k][j]  =  B[i][j] - A[i][j].
 
-decide_equiv builds the system as sparse {row: value} columns straight
-from A and B, and solves it completely over the integers by a
-column-echelon elimination with forward substitution; the column
-operations are logged and replayed in reverse on the pivot values to give
-the solution. Every verdict is exact: Equivalent comes with a witness
-checked as UA - U = BV - V and NotEquivalent with either a modular corner
+decide_equiv converts A and B once, tries a corner obstruction, then
+builds the system as sparse {row: value} columns straight from A and B
+and solves it completely over the integers by a column-echelon
+elimination with forward substitution; the column operations are logged
+and replayed in reverse on the pivot values to give the solution. Every
+verdict is exact: Equivalent comes with a witness checked as
+UA - U = BV - V and NotEquivalent with either a modular corner
 obstruction or infeasibility of the system.
 
 Two cheaper tools serve the classification pipeline: distance_normal_form,
@@ -22,7 +23,8 @@ a reduction R = (A - I)Q by column operations alone, whose Q certifies
 A ~ R + I (checked as AQ - Q = R by the same dot-product kernel as
 witnesses) so that equal forms prove equivalence, and block_obstruction, a
 corner obstruction on any contiguous principal block, which proves
-non-equivalence.
+non-equivalence. Its O(n^2) gcd scan also serves the corner obstructions:
+their gcd is that of the last block, the whole matrix.
 """
 
 from __future__ import annotations
@@ -223,16 +225,40 @@ def _solve_columns(columns: list[dict[int, int]], c: list[int]) -> tuple[int, ..
     return tuple(y)
 
 
-def _noncorner_gcd(a: IntMatrix, b: IntMatrix) -> int:
-    """gcd of every strictly-upper entry of a and b except the corner (1, n)."""
+def _obstructing_blocks(a: IntMatrix, b: IntMatrix):
+    """Every contiguous principal block [t, s] (0-based) whose corners
+    differ modulo g, the gcd of its other strictly-upper entries in both
+    matrices (differ at all, for g = 0), as (t, s, g), by distance s - t:
+    the whole matrix, when it obstructs, comes last. With E(t, s) the gcd of
+    all the block's strictly-upper entries, g = gcd(E(t, s-1), E(t+1, s)),
+    so the scan costs O(n^2) gcds.
+    """
     n = len(a)
-    d = 0
-    for entries in (a, b):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) != (0, n - 1):
-                    d = math.gcd(d, entries[i][j])
-    return d
+    gcds = [0] * n  # E(t, t) = 0: a 1x1 block has no strictly-upper entries
+    for d in range(1, n):
+        for t in range(n - d):
+            s = t + d
+            g = math.gcd(gcds[t], gcds[t + 1])
+            x, y = a[t][s], b[t][s]
+            if (x - y) % g if g else x != y:
+                yield t, s, g
+            gcds[t] = math.gcd(g, x, y)
+
+
+def _corner_gcd(a: IntMatrix, b: IntMatrix) -> int | None:
+    """gcd of every strictly-upper entry of a and b except the corner (1, n)
+    when the corners differ modulo it, else None: the g of the scan's last
+    block, if that block is the whole matrix."""
+    return next((g for t, s, g in _obstructing_blocks(a, b) if s - t == len(a) - 1), None)
+
+
+def _corner_obstruction(a: IntMatrix, b: IntMatrix, k: int) -> CornerObstruction | None:
+    """The (1, n) obstruction at modulus k when the corners differ modulo k;
+    k must divide every other strictly-upper entry."""
+    n = len(a)
+    lhs = a[0][n - 1] % k
+    rhs = b[0][n - 1] % k
+    return CornerObstruction(k, (1, n), lhs, rhs) if lhs != rhs else None
 
 
 def obstruction_mod_k(A, B, k: int) -> CornerObstruction | None:
@@ -247,16 +273,10 @@ def obstruction_mod_k(A, B, k: int) -> CornerObstruction | None:
         raise InvalidParamsError(f"obstruction modulus must be >= 2, got {k}")
     a = _as_entries(A)
     b = _as_entries(B)
-    n = len(a)
-    if len(b) != n:
+    if len(b) != len(a):
         raise DimensionMismatchError("matrices must have equal dimensions")
-    if n < 2 or _noncorner_gcd(a, b) % k:
-        return None
-    lhs = a[0][n - 1] % k
-    rhs = b[0][n - 1] % k
-    if lhs == rhs:
-        return None
-    return CornerObstruction(k, (1, n), lhs, rhs)
+    g = _corner_gcd(a, b)
+    return None if g is None or g % k else _corner_obstruction(a, b, k)
 
 
 def _best_corner_obstruction(a: IntMatrix, b: IntMatrix) -> CornerObstruction | None:
@@ -268,21 +288,13 @@ def _best_corner_obstruction(a: IntMatrix, b: IntMatrix) -> CornerObstruction | 
     reported certificate modulus is the single prime power of d on which
     the corners disagree, the smallest such prime first.
     """
-    n = len(a)
-    d = _noncorner_gcd(a, b)
-    if d < 2:
-        return None
-    diff = a[0][n - 1] - b[0][n - 1]
-    if diff % d == 0:
+    d = _corner_gcd(a, b)
+    if d is None or d < 2:
         return None
     fact = factorize(d)
-    prime_powers = list(fact.odd_primes)
-    if fact.two_exponent:
-        prime_powers.insert(0, (2, fact.two_exponent))
-    for p, alpha in prime_powers:
-        k = p**alpha
-        if diff % k:
-            return CornerObstruction(k, (1, n), a[0][n - 1] % k, b[0][n - 1] % k)
+    for p, alpha in [(2, fact.two_exponent), *fact.odd_primes]:
+        if alpha and (obstruction := _corner_obstruction(a, b, p**alpha)):
+            return obstruction
     raise InvariantViolationError("corner difference not detected by any prime power")
 
 
@@ -294,25 +306,13 @@ def block_obstruction(A, B) -> tuple[int, int] | None:
     corner obstruction holds block by block: when every non-corner
     strictly-upper entry of the block in both matrices is divisible by g,
     the corners of equivalent matrices agree modulo g (exactly, for g = 0).
-    With E(t, s) the gcd of the block's strictly-upper entries in both
-    matrices, that g is gcd(E(t, s-1), E(t+1, s)), so the scan costs
-    O(n^2) gcds.
     """
     a = getattr(A, "entries", A)
     b = getattr(B, "entries", B)
-    n = len(a)
-    if len(b) != n:
-        raise DimensionMismatchError(f"matrices have dimensions {n} and {len(b)}")
-    gcds = [0] * n  # E(t, t) = 0: a 1x1 block has no strictly-upper entries
-    for d in range(1, n):
-        for t in range(n - d):
-            s = t + d
-            g = math.gcd(gcds[t], gcds[t + 1])
-            x, y = a[t][s], b[t][s]
-            # corners differ modulo g; modulo 0 that is differing at all
-            if (x - y) % g if g else x != y:
-                return (t + 1, s + 1)
-            gcds[t] = math.gcd(g, x, y)
+    if len(b) != len(a):
+        raise DimensionMismatchError(f"matrices have dimensions {len(a)} and {len(b)}")
+    for t, s, _ in _obstructing_blocks(a, b):
+        return (t + 1, s + 1)
     return None
 
 
@@ -364,27 +364,14 @@ def distance_normal_form(matrix) -> NormalForm:
     return NormalForm(tuple(map(tuple, form)), tuple(map(tuple, q)))
 
 
-def _upper_positions(n: int) -> list[tuple[int, int]]:
-    """Strictly-upper positions (i, k) of an n x n matrix, row-major."""
-    return [(i, k) for i in range(n) for k in range(i + 1, n)]
-
-
-def _witness_from_solution(n: int, half: int, x: tuple[int, ...]) -> Witness:
-    u = _identity(n)
-    v = _identity(n)
-    for col, (i, k) in enumerate(_upper_positions(n)):
-        u[i][k] = x[col]
-        v[i][k] = x[half + col]
-    return Witness(tuple(tuple(r) for r in u), tuple(tuple(r) for r in v))
-
-
-def decide_equiv(A, B, use_prefilter: bool = True) -> EquivDecision:
+def decide_equiv(A, B) -> EquivDecision:
     """Complete, exact decision of A ~ B with certificate.
 
-    Equal matrices short-circuit with the identity witness. Otherwise a
-    corner obstruction is sought as a cheap negative certificate (unless
-    use_prefilter is False), and finally the full Diophantine system is
-    solved; its solvability over the integers is equivalent to A ~ B.
+    Each input is converted once. Equal matrices short-circuit with the
+    identity witness. Otherwise a corner obstruction is sought as a cheap
+    negative certificate (its gcd is the block scan's last block), and
+    finally the full Diophantine system is solved; its solvability over
+    the integers is equivalent to A ~ B.
     """
     a = _as_entries(A)
     b = _as_entries(B)
@@ -398,22 +385,23 @@ def decide_equiv(A, B, use_prefilter: bool = True) -> EquivDecision:
     if a == b:
         ident = tuple(tuple(row) for row in _identity(n))
         return EquivDecision(True, "matrices are equal", Witness(ident, ident))
-    if use_prefilter:
-        obstruction = _best_corner_obstruction(a, b)
-        if obstruction is not None:
-            return EquivDecision(False, obstruction.describe(), None, obstruction)
+    obstruction = _best_corner_obstruction(a, b)
+    if obstruction is not None:
+        return EquivDecision(False, obstruction.describe(), None, obstruction)
     # sparse columns, U' then V': U'[i][k] enters equation (i, j) as
     # a[k][j] for j > k, V'[k][j] enters it as -b[i][k] for i < k
-    positions = _upper_positions(n)
+    positions = [(i, k) for i in range(n) for k in range(i + 1, n)]
     eq = {pos: e for e, pos in enumerate(positions)}
     columns = [{eq[i, j]: a[k][j] for j in range(k + 1, n) if a[k][j]} for i, k in positions]
     columns += [{eq[i, j]: -b[i][k] for i in range(k) if b[i][k]} for k, j in positions]
-    half = len(positions)
     x = _solve_columns(columns, [b[i][j] - a[i][j] for i, j in positions])
     if x is None:
         return EquivDecision(False, "Diophantine system infeasible")
-    witness = _witness_from_solution(n, half, x)
-    if not verify_witness(a, b, witness):
+    u, v = _identity(n), _identity(n)
+    for (i, k), u_ik, v_ik in zip(positions, x, x[len(positions):]):
+        u[i][k], v[i][k] = u_ik, v_ik
+    witness = Witness(tuple(map(tuple, u)), tuple(map(tuple, v)))
+    if not _witness_holds(a, b, witness):
         raise InvariantViolationError("solver produced a witness that fails verification")
     return EquivDecision(True, "witness found", witness)
 
@@ -421,11 +409,12 @@ def decide_equiv(A, B, use_prefilter: bool = True) -> EquivDecision:
 def verify_witness(A, B, witness: Witness) -> bool:
     """True iff U, V are unipotent upper triangular and U(A-I) = (B-I)V,
     checked as UA - U = BV - V in 2n^2 dot products."""
-    a = _as_entries(A)
-    b = _as_entries(B)
-    n = len(a)
-    u = witness.U
-    v = witness.V
+    return _witness_holds(_as_entries(A), _as_entries(B), witness)
+
+
+def _witness_holds(a: IntMatrix, b: IntMatrix, witness: Witness) -> bool:
+    """verify_witness on converted entries."""
+    n, u, v = len(a), witness.U, witness.V
     if len(b) != n or not (_unitriangular(u, n) and _unitriangular(v, n)):
         return False
     return _product_minus(u, tuple(zip(*a)), u) == _product_minus(b, tuple(zip(*v)), v)

@@ -33,6 +33,35 @@ def matmul(x, y):
     ]
 
 
+def dense_system(a, b):
+    """Dense M, c of the equation in the equivalence module docstring: one
+    row per strictly-upper (i, j), unknowns U' then V' in row-major order."""
+    n = len(a)
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pos: e for e, pos in enumerate(positions)}
+    half = len(positions)
+    matrix, c = [], []
+    for i, j in positions:
+        row = [0] * (2 * half)
+        for k in range(i + 1, j):
+            row[index[i, k]] += a[k][j]
+            row[half + index[k, j]] -= b[i][k]
+        matrix.append(row)
+        c.append(b[i][j] - a[i][j])
+    return matrix, c
+
+
+def witness_from(n, x):
+    """(U, V) read from a solution x of dense_system."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for e, (i, j) in enumerate(positions):
+        u[i][j] = x[e]
+        v[i][j] = x[len(positions) + e]
+    return Witness(tuple(map(tuple, u)), tuple(map(tuple, v)))
+
+
 def test_solve_examples():
     assert solve_diophantine([[1, 0], [0, 1]], (3, -4)) == (3, -4)
     assert solve_diophantine([[2]], [3]) is None
@@ -172,10 +201,8 @@ def test_decide_equiv_negative_pair():
     assert decision.obstruction is not None
     assert decision.obstruction.k == 3
     assert decision.obstruction.position == (1, 4)
-    # same verdict from the full solver with the prefilter disabled
-    unfiltered = decide_equiv(a, b, use_prefilter=False)
-    assert not unfiltered.equivalent
-    assert unfiltered.reason == "Diophantine system infeasible"
+    # the full system agrees: it has no integer solution
+    assert solve_diophantine(*dense_system(a.entries, b.entries)) is None
 
 
 def test_decide_equiv_positive_pair():
@@ -184,6 +211,23 @@ def test_decide_equiv_positive_pair():
     decision = decide_equiv(a, b)
     assert decision.equivalent
     assert verify_witness(a, b, decision.witness)
+    x = solve_diophantine(*dense_system(a.entries, b.entries))
+    assert verify_witness(a, b, witness_from(4, x))
+
+
+def test_corner_obstruction_picks_the_prime_power():
+    def pair(corner):
+        a = ((1, 12, 0), (0, 1, 12), (0, 0, 1))
+        return a, ((1, 12, corner), (0, 1, 12), (0, 0, 1))
+
+    for corner, k, rhs in ((4, 3, 1), (3, 4, 3), (6, 4, 2)):
+        decision = decide_equiv(*pair(corner))
+        assert not decision.equivalent
+        assert decision.reason == f"corner entries at (1, 3) differ modulo {k}: 0 vs {rhs}"
+        assert decision.obstruction == obstruction_mod_k(*pair(corner), k)
+    decision = decide_equiv(*pair(12))
+    assert decision.equivalent and decision.reason == "witness found"
+    assert verify_witness(*pair(12), decision.witness)
 
 
 def test_decide_equiv_proof_matrices_6x6():
@@ -248,11 +292,17 @@ def test_obstruction_mod_k_validates_k():
         obstruction_mod_k(a, a, 1)
 
 
+def test_obstruction_mod_k_small_and_mismatched():
+    assert obstruction_mod_k(((1,),), ((1,),), 2) is None
+    with pytest.raises(DimensionMismatchError):
+        obstruction_mod_k(((1, 2), (0, 1)), ((1, 2, 0), (0, 1, 2), (0, 0, 1)), 2)
+
+
 def test_obstruction_never_contradicts_solver():
     a = count_matrix(LensParams(3, (1, 1, 1, 1)))
     b = count_matrix(LensParams(3, (1, 2, 1, 1)))
     assert obstruction_mod_k(a, b, 3) is not None
-    assert not decide_equiv(a, b, use_prefilter=False).equivalent
+    assert solve_diophantine(*dense_system(a.entries, b.entries)) is None
 
 
 def random_unipotent(rng, n, span=4):
