@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .errors import BadModulusError, BudgetExceededError, InvalidParamsError, InvariantViolationError
+from .errors import BudgetExceededError, InvariantViolationError
 from .equivalence import (
     IntMatrix,
     block_obstruction,
@@ -40,9 +38,9 @@ from .equivalence import (
     distance_normal_form,
 )
 from .invariants import Signature, lower_bound_classes, window_products
-from .lensgraph import LensParams
+from .lensgraph import LensParams, _check_rn, _units
 from .numtheory import factorize
-from .pathmatrix import PathMatrix, _normalized_walk
+from .pathmatrix import PathMatrix, _normalized_walk, _pool_map
 
 __all__ = [
     "MatrixRecord",
@@ -137,13 +135,10 @@ def _build_records(
     ends at the first vector whose windows differ from the first vector's:
     its record comes last, and the counts of the others are partial.
     """
-    if r <= 2:
-        raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
-    if n < 1:
-        raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
+    _check_rn(r, n)
     units = []
     if n >= 3:
-        units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+        units = _units(r)
         total = len(units) ** (n - 3)
         if total > budget:
             raise BudgetExceededError(
@@ -269,12 +264,7 @@ def partition_classes(
     """
     records = _build_records(r, n, budget)
     buckets = _bucketize(records) if use_signature_buckets else [records]
-    large = len(buckets) > 1 and len(records) >= POOL_MIN_RECORDS
-    if jobs is not None and jobs > 1 and large:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(buckets))) as pool:
-            grouped = list(pool.map(_classify_bucket, buckets, chunksize=1))
-    else:
-        grouped = [_classify_bucket(bucket) for bucket in buckets]
+    grouped = _pool_map(_classify_bucket, buckets, jobs, len(records) >= POOL_MIN_RECORDS)
     classes = sorted(
         (
             (bucket[group[0]], [bucket[i] for i in group])

@@ -1,15 +1,14 @@
 """Command-line interface exposing matrices, equivalence, classes, and checks.
 
 Exit codes form the contract: 0 success or Equivalent, 1 NotEquivalent,
-2 invalid input or an unwritable --output, 3 budget exceeded or out of
-memory, 4 verification mismatch.
+2 invalid input or an unwritable --output, 3 budget exceeded, out of
+memory or a dead worker process, 4 verification mismatch.
 """
 
 import argparse
 import csv
 import io
 import json
-import math
 import os
 import random
 import sys
@@ -33,7 +32,7 @@ from .errors import (
     QlensError,
 )
 from .invariants import check_divisibility, congruence_main, phitilde_formula
-from .lensgraph import LensParams
+from .lensgraph import LensParams, _units
 from .numtheory import factorize
 from .pathmatrix import POOL_MIN_ROW_STEPS, count_matrix, poly_1to6
 
@@ -165,7 +164,7 @@ def cmd_phitilde(args: argparse.Namespace) -> int:
 
 
 def _random_units_vector(rng: random.Random, r: int, n: int) -> tuple[int, ...]:
-    units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+    units = _units(r)
     return tuple(rng.choice(units) for _ in range(n))
 
 

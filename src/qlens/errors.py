@@ -42,7 +42,7 @@ class HypothesisUnmetError(InputError):
 
 
 class BudgetExceededError(QlensError):
-    """A configured enumeration cap would be exceeded (CLI exit code 3)."""
+    """An enumeration cap would be exceeded, or a pool worker died (CLI exit code 3)."""
 
 
 class TooLargeError(BudgetExceededError):

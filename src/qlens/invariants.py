@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import BadModulusError, HypothesisUnmetError, InvalidParamsError, InvariantViolationError
-from .lensgraph import LensParams
+from .errors import HypothesisUnmetError, InvalidParamsError, InvariantViolationError
+from .lensgraph import LensParams, _check_rn
 from .numtheory import binomial, factorize, is_prime, mod_inverse, padic_valuation
 from .pathmatrix import PathMatrix, _count_row, count_matrix
 
@@ -165,10 +165,7 @@ def congruence_main(params: LensParams, p: int, alpha: int) -> tuple[int, int]:
 
 def lower_bound_classes(r: int, n: int) -> int:
     """Product over odd primes p of r of ceil((p-1)^(n-p)); 1 for 2-powers."""
-    if r <= 2:
-        raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
-    if n < 1:
-        raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
+    _check_rn(r, n)
     out = 1
     for p, _ in factorize(r).odd_primes:
         if n > p:
@@ -182,8 +179,7 @@ def phitilde_formula(r: int) -> int:
     p + 1 when 4 does not divide r (p the smallest odd prime of r);
     min(6, p + 1) when 4 | r; 6 when r is a power of two.
     """
-    if r <= 2:
-        raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
+    _check_rn(r)
     p = factorize(r).smallest_odd_prime
     if p is None:
         return 6

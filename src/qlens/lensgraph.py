@@ -75,6 +75,19 @@ class LensParams:
         return f"({self.r}; ({', '.join(str(v) for v in self.m)}))"
 
 
+def _check_rn(r: int, n: int | None = None) -> None:
+    """The (r, n) check of the functions that take no LensParams."""
+    if r <= 2:
+        raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
+    if n is not None and n < 1:
+        raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
+
+
+def _units(r: int) -> list[int]:
+    """The units modulo r, increasing."""
+    return [u for u in range(1, r) if math.gcd(u, r) == 1]
+
+
 def scale(params: LensParams, b: int) -> LensParams:
     """Replace m by (b*m mod r) entrywise; b must be a unit modulo r."""
     b = b % params.r

@@ -12,20 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from operator import add, itemgetter
 from typing import Iterator
 
-from .errors import (
-    BadModulusError,
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    InvalidParamsError,
-    NonIntegerResultError,
-)
-from .lensgraph import LensParams, scale
+from .errors import BudgetExceededError, DimensionMismatchError, IndexOutOfRangeError, NonIntegerResultError
+from .lensgraph import LensParams, _check_rn, scale
 from .numtheory import binomial, mod_inverse
 
 __all__ = [
@@ -226,6 +220,24 @@ def _normalized_walk(
         yield from descend((1,), [(1,)], fresh[0])
 
 
+def _pool_map(fn, items, jobs: int | None, pays: bool) -> list:
+    """[fn(item) for item in items], in a pool of at most one process per
+    item when pays and jobs and items are both at least 2. The pool, and
+    concurrent.futures, are loaded only then. A worker that dies (killed
+    for memory, say) breaks the pool: BudgetExceededError, exit 3."""
+    items = list(items)
+    workers = min(jobs or 1, len(items))
+    if not pays or workers < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=1))
+    except BrokenExecutor as exc:
+        raise BudgetExceededError(f"a worker process died: {exc}") from None
+
+
 def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
     """Path-count matrix of (r; m) in O(n^2 * r) time.
 
@@ -234,24 +246,15 @@ def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
     assembly order is fixed, so the result is identical either way.
     """
     r, m, n = params.r, params.m, params.n
-    sources = range(1, n + 1)
-    if jobs is not None and jobs > 1 and r * n * n >= POOL_MIN_ROW_STEPS:
-        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
-            tails = list(pool.map(_count_row, [r] * n, [m] * n, sources))
-    else:
-        tails = [_count_row(r, m, i) for i in sources]
-    entries = tuple(
-        tuple([0] * (i - 1) + list(tails[i - 1])) for i in sources
-    )
+    pays = r * n * n >= POOL_MIN_ROW_STEPS
+    tails = _pool_map(partial(_count_row, r, m), range(1, n + 1), jobs, pays)
+    entries = tuple((0,) * i + tail for i, tail in enumerate(tails))
     return PathMatrix(r, m, entries)
 
 
 def closed_form_all_ones(r: int, n: int) -> PathMatrix:
     """Matrix for the all-ones vector: entry (i, j) = C(r-1+(j-i), j-i)."""
-    if r <= 2:
-        raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
-    if n < 1:
-        raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
+    _check_rn(r, n)
     entries = tuple(
         tuple(binomial(r - 1 + (j - i), j - i) if j >= i else 0 for j in range(n))
         for i in range(n)
@@ -266,8 +269,7 @@ def poly_1to6(r: int) -> int:
     division is always exact; a remainder would contradict the counting
     identity behind the formula, so it is reported loudly.
     """
-    if r <= 2:
-        raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
+    _check_rn(r)
     numerator = 22 * r + 15 * r**2 - 5 * r**3 + 5 * r**4 + 3 * r**5
     quotient, remainder = divmod(numerator, 40)
     if remainder:

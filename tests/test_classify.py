@@ -1,12 +1,12 @@
 """Tests for enumeration, partitioning, the phitilde search, and conjecture runs."""
 
+import concurrent.futures
 import itertools
 import json
 import math
 import random
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import pytest
@@ -179,14 +179,14 @@ def test_partition_parallel_deterministic(monkeypatch):
     # (5, 7) has 244 distinct matrices in 5 buckets, above the pool's gate
     started = []
 
-    class RecordingPool(ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs)
             super().__init__(*args, **kwargs)
 
     serial = partition_classes(5, 7)
     assert len(_build_records(5, 7, DEFAULT_VECTOR_BUDGET)) >= qlens.classify.POOL_MIN_RECORDS
-    monkeypatch.setattr(qlens.classify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     parallel = partition_classes(5, 7, jobs=2)
     assert started == [{"max_workers": 2}]
     assert serial.to_json() == parallel.to_json()

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import concurrent.futures
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -449,8 +451,7 @@ def test_small_inputs_start_no_pool(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(qlens.pathmatrix, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(qlens.classify, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     m = tuple(range(1, 17))
     assert count_matrix(LensParams(17, m), jobs=2) == count_matrix(LensParams(17, m))
     assert partition_classes(3, 7, jobs=2) == partition_classes(3, 7)
@@ -484,14 +485,52 @@ def test_pool_width_capped_at_work(monkeypatch):
             self.record[1] = len(results)
             return results
 
-    monkeypatch.setattr(qlens.classify, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(qlens.pathmatrix, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
     assert partition_classes(5, 7, jobs=10**6) == partition_classes(5, 7)
     params = LensParams(7, (1, 2, 3))
     assert count_matrix(params, jobs=10**6) == count_matrix(params)
     # (5, 7) has 16 signature buckets; the matrix has 3 rows
     assert pools == [[16, 16], [3, 3]]
+
+
+def test_dead_worker_exits_3(capsys, monkeypatch):
+    # A stand-in executor whose map fails as a pool does when a worker dies.
+    class BrokenPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            raise BrokenProcessPool("a worker was killed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
+    code, out, err = run(capsys, "matrix", "--r", "7", "--m", "1,2,3", "--jobs", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_serial_commands_never_import_a_pool():
+    # Start-up cost: the pool modules load only when a pool starts.
+    probe = (
+        "import sys, qlens.cli\n"
+        "code = qlens.cli.main(['phitilde', '--r', '35', '--format', 'json'])\n"
+        "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "print(code, loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_source_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize(
@@ -529,10 +568,14 @@ def _cli_command():
     script = shutil.which("qlens")
     if script is not None:
         return [script], None
+    return [sys.executable, "-m", "qlens"], _source_env()
+
+
+def _source_env():
+    """The environment with the imported ``qlens`` source tree first on ``PYTHONPATH``."""
     src = str(Path(qlens.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
-    return [sys.executable, "-m", "qlens"], env
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
 
 
 def test_console_script():

@@ -1,11 +1,11 @@
 """Tests for the path-count DP, closed forms, and normalization."""
 
+import concurrent.futures
 import csv
 import io
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -122,17 +122,27 @@ def test_count_matrix_parallel_matches_serial(monkeypatch):
     assert p.r * p.n**2 >= qlens.pathmatrix.POOL_MIN_ROW_STEPS
     started = []
 
-    class RecordingPool(ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs)
             super().__init__(*args, **kwargs)
 
     serial = count_matrix(p)
-    monkeypatch.setattr(qlens.pathmatrix, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert count_matrix(p, jobs=2) == serial
     assert started == [{"max_workers": 2}]
     assert count_matrix(p, jobs=1) == serial
     assert len(started) == 1
+
+
+def test_one_row_starts_no_pool(monkeypatch):
+    # One task runs in process whatever jobs and the gate say.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
+    assert count_matrix(LensParams(7, (3,)), jobs=2).entries == ((1,),)
 
 
 def test_closed_form_examples():
