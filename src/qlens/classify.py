@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .errors import BudgetExceededError, InvariantViolationError
+from .errors import InvariantViolationError
 from .equivalence import (
     IntMatrix,
     block_obstruction,
@@ -38,7 +38,7 @@ from .equivalence import (
     distance_normal_form,
 )
 from .invariants import Signature, lower_bound_classes, window_products
-from .lensgraph import LensParams, _check_rn, _units
+from .lensgraph import LensParams
 from .numtheory import factorize
 from .pathmatrix import PathMatrix, _normalized_walk, _pool_map
 
@@ -132,41 +132,31 @@ def _build_records(
     Vectors producing the same matrix must agree on the signature; that
     consistency is asserted on every walked vector because the buckets
     downstream would be ill-defined otherwise. With stop_at_split the walk
-    ends at the first vector whose windows differ from the first vector's:
-    its record comes last, and the counts of the others are partial.
+    ends at the first vector with a second signature: its record comes
+    last, and the counts of the others are partial.
     """
-    _check_rn(r, n)
-    units = []
-    if n >= 3:
-        units = _units(r)
-        total = len(units) ** (n - 3)
-        if total > budget:
-            raise BudgetExceededError(
-                f"enumeration needs {total} vectors, exceeding the budget of {budget}"
-            )
+    # made first, so its (r, n) and budget checks come before factorize
+    walk = _normalized_walk(r, n, budget)
     primes = tuple(p for p, _ in factorize(r).odd_primes)
-    # entries -> (first vector, its windows); counts key on that short vector
-    first: dict[tuple[tuple[int, ...], ...], tuple] = {}
-    counts: Counter = Counter()
-    lead = None
-    for vec, entries in _normalized_walk(r, n, units):
+    signatures: dict[tuple, Signature] = {}
+    # entries -> [first vector, its signature, vector count]
+    table: dict[tuple[tuple[int, ...], ...], list] = {}
+    for vec, entries in walk:
         windows = window_products(primes, vec)
-        seen = first.setdefault(entries, (vec, windows))
-        if seen[1] != windows:
+        row = table.get(entries)
+        if row is None:
+            if windows not in signatures:
+                signatures[windows] = Signature(primes, windows)
+            row = table[entries] = [vec, signatures[windows], 0]
+        elif row[1].windows != windows:
             raise InvariantViolationError(
-                f"vectors {seen[0]} and {vec} share a matrix but disagree "
+                f"vectors {row[0]} and {vec} share a matrix but disagree "
                 f"on the signature"
             )
-        counts[seen[0]] += 1
-        if lead is None:
-            lead = windows
-        elif stop_at_split and windows != lead:
+        row[2] += 1
+        if stop_at_split and len(signatures) > 1:
             break
-    signatures = {w: Signature(primes, w) for w in {w for _, w in first.values()}}
-    return [
-        MatrixRecord(vec, entries, signatures[windows], counts[vec])
-        for entries, (vec, windows) in first.items()
-    ]
+    return [MatrixRecord(vec, entries, sig, count) for entries, (vec, sig, count) in table.items()]
 
 
 def enumerate_matrices(
@@ -177,13 +167,6 @@ def enumerate_matrices(
         (LensParams(r, rec.m), PathMatrix(r, rec.m, rec.entries))
         for rec in _build_records(r, n, budget)
     ]
-
-
-def _bucketize(records: list[MatrixRecord]) -> list[list[MatrixRecord]]:
-    buckets: dict[tuple, list[MatrixRecord]] = {}
-    for rec in records:
-        buckets.setdefault(rec.signature.as_tuple(), []).append(rec)
-    return [buckets[key] for key in sorted(buckets)]
 
 
 def _classify_bucket(
@@ -263,7 +246,12 @@ def partition_classes(
     non-equivalence. Large cells use at most one process per bucket.
     """
     records = _build_records(r, n, budget)
-    buckets = _bucketize(records) if use_signature_buckets else [records]
+    buckets = [records]
+    if use_signature_buckets:
+        shared: dict[Signature, list[MatrixRecord]] = {}
+        for rec in records:
+            shared.setdefault(rec.signature, []).append(rec)
+        buckets = [shared[sig] for sig in sorted(shared, key=Signature.as_tuple)]
     grouped = _pool_map(_classify_bucket, buckets, jobs, len(records) >= POOL_MIN_RECORDS)
     classes = sorted(
         (

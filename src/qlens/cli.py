@@ -2,7 +2,7 @@
 
 Exit codes form the contract: 0 success or Equivalent, 1 NotEquivalent,
 2 invalid input or an unwritable --output, 3 budget exceeded, out of
-memory or a dead worker process, 4 verification mismatch.
+memory or a worker that died or never started, 4 verification mismatch.
 """
 
 import argparse

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all qlens modules.
 
 The CLI maps these onto exit codes: input errors exit 2, budget
-errors exit 3.
+errors exit 3, and InvariantViolationError and NonIntegerResultError
+(a verification mismatch) exit 4.
 """
 
 
@@ -42,7 +43,7 @@ class HypothesisUnmetError(InputError):
 
 
 class BudgetExceededError(QlensError):
-    """An enumeration cap would be exceeded, or a pool worker died (CLI exit code 3)."""
+    """An enumeration cap would be exceeded, or a pool worker died or never started (exit 3)."""
 
 
 class TooLargeError(BudgetExceededError):

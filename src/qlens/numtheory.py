@@ -36,12 +36,6 @@ class Factorization:
     def smallest_odd_prime(self) -> int | None:
         return self.odd_primes[0][0] if self.odd_primes else None
 
-    def value(self) -> int:
-        out = 1 << self.two_exponent
-        for p, a in self.odd_primes:
-            out *= p**a
-        return out
-
 
 def mod_inverse(a: int, r: int) -> int:
     """Inverse of a modulo r, as a residue in [0, r-1].

@@ -19,7 +19,7 @@ from operator import add, itemgetter
 from typing import Iterator
 
 from .errors import BudgetExceededError, DimensionMismatchError, IndexOutOfRangeError, NonIntegerResultError
-from .lensgraph import LensParams, _check_rn, scale
+from .lensgraph import LensParams, _check_rn, _units, scale
 from .numtheory import binomial, mod_inverse
 
 __all__ = [
@@ -134,10 +134,14 @@ def _count_row(r: int, m: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 def _normalized_walk(
-    r: int, n: int, units: list[int]
+    r: int, n: int, budget: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """(m, entries) for every m = (1, 1, m_3, .., m_{n-1}, 1) with free
-    entries from units, in itertools.product order.
+    entries from the units modulo r, in itertools.product order.
+
+    (r, n) is checked, and the phi(r)^(n-3) vectors are held to budget
+    (n <= 2 has one vector and is exempt), when the walk is made, before
+    any vector is walked.
 
     The closing value of subgraph s is the sum of the state before it, so
     entry (i, s) = entry (i, s-1) + sum(state of row i after subgraph s-1):
@@ -171,6 +175,15 @@ def _normalized_walk(
     made once per row, so a gather built per step costs more than the loop,
     and a prebuilt table of them costs more memory than the matrix.
     """
+    _check_rn(r, n)
+    if n <= 2:
+        return iter([((1,) * n, count_matrix(LensParams(r, (1,) * n)).entries)])
+    units = _units(r)
+    total = len(units) ** (n - 3)
+    if total > budget:
+        raise BudgetExceededError(
+            f"enumeration needs {total} vectors, exceeding the budget of {budget}"
+        )
     width = n * r.bit_length()
     mask = (1 << width) - 1
     offsets = [i * width for i in range(n)]
@@ -214,17 +227,14 @@ def _normalized_walk(
             g = gather(u * f_inv % r)
             yield from descend(m + (u,), rows, list(map(add, accumulate(g(packed)), fresh[k])))
 
-    if n <= 2:
-        yield (1,) * n, count_matrix(LensParams(r, (1,) * n)).entries
-    else:
-        yield from descend((1,), [(1,)], fresh[0])
+    return descend((1,), [(1,)], fresh[0])
 
 
 def _pool_map(fn, items, jobs: int | None, pays: bool) -> list:
     """[fn(item) for item in items], in a pool of at most one process per
     item when pays and jobs and items are both at least 2. The pool, and
     concurrent.futures, are loaded only then. A worker that dies (killed
-    for memory, say) breaks the pool: BudgetExceededError, exit 3."""
+    for memory, say) or never starts breaks the pool: BudgetExceededError."""
     items = list(items)
     workers = min(jobs or 1, len(items))
     if not pays or workers < 2:
@@ -235,7 +245,7 @@ def _pool_map(fn, items, jobs: int | None, pays: bool) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items, chunksize=1))
     except BrokenExecutor as exc:
-        raise BudgetExceededError(f"a worker process died: {exc}") from None
+        raise BudgetExceededError(f"a worker process died or could not start: {exc}") from None
 
 
 def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:

@@ -13,7 +13,12 @@ import pytest
 
 import qlens.classify
 import qlens.pathmatrix
-from qlens.errors import BudgetExceededError, InvalidParamsError, InvariantViolationError
+from qlens.errors import (
+    BadModulusError,
+    BudgetExceededError,
+    InvalidParamsError,
+    InvariantViolationError,
+)
 from qlens.classify import (
     DEFAULT_VECTOR_BUDGET,
     ClassPartition,
@@ -34,7 +39,7 @@ from qlens.equivalence import (
     unipotent_inverse,
     verify_witness,
 )
-from qlens.invariants import lower_bound_classes, phitilde_formula
+from qlens.invariants import lower_bound_classes, phitilde_formula, signature
 from qlens.lensgraph import LensParams
 from qlens.pathmatrix import _normalized_walk, count_matrix
 
@@ -91,7 +96,7 @@ def test_normalized_walk_matches_count_matrix(monkeypatch):
             vectors = [(1, 1) + mid + (1,) for mid in itertools.product(units, repeat=n - 3)]
         else:
             vectors = [(1,) * n]
-        walked = list(_normalized_walk(r, n, units))
+        walked = list(_normalized_walk(r, n, DEFAULT_VECTOR_BUDGET))
         assert [vec for vec, _ in walked] == vectors, (r, n)
         for vec, entries in walked:
             assert entries == count_matrix(LensParams(r, vec)).entries, (r, vec)
@@ -106,7 +111,7 @@ def test_normalized_walk_matches_count_matrix(monkeypatch):
     for r, n in cases + packed + [(r, n) for r in (3, 4, 12) for n in range(1, 5)]:
         check(r, n)
     # wide slots: every value of (2003, 5) fits in 5 * 11 bits
-    for vec, entries in itertools.islice(_normalized_walk(2003, 5, list(range(1, 2003))), 200):
+    for vec, entries in itertools.islice(_normalized_walk(2003, 5, DEFAULT_VECTOR_BUDGET), 200):
         assert entries == count_matrix(LensParams(2003, vec)).entries, vec
     # room for three gathers: the others are built for each use
     for r, n in cases[1:]:
@@ -117,7 +122,7 @@ def test_normalized_walk_matches_count_matrix(monkeypatch):
 def test_normalized_walk_memory_is_bounded():
     # a table of all 2002 gathers at r = 2003 would hold 4 * 10^6 indexes
     r = 2003
-    walk = _normalized_walk(r, 4, list(range(1, r)))
+    walk = _normalized_walk(r, 4, DEFAULT_VECTOR_BUDGET)
     tracemalloc.start()
     try:
         for _ in itertools.islice(walk, 400):
@@ -126,6 +131,58 @@ def test_normalized_walk_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_normalized_walk_checks_when_called():
+    # the checks run when the walk is made, before any vector is asked for
+    with pytest.raises(BadModulusError, match="modulus r must be an integer > 2, got 2"):
+        _normalized_walk(2, 4, DEFAULT_VECTOR_BUDGET)
+    with pytest.raises(InvalidParamsError):
+        _normalized_walk(5, 0, DEFAULT_VECTOR_BUDGET)
+    with pytest.raises(
+        BudgetExceededError, match="enumeration needs 64000 vectors, exceeding the budget of 63999"
+    ):
+        _normalized_walk(55, 6, 63_999)
+    # n <= 2 has one vector whatever the budget
+    assert list(_normalized_walk(5, 2, 0)) == [((1, 1), ((1, 5), (0, 1)))]
+    assert len(list(_normalized_walk(5, 6, 64))) == 64
+
+
+def _brute_records(r, n):
+    # first vector and vector count of each distinct matrix, in first-occurrence order
+    units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+    table = {}
+    for mid in itertools.product(units, repeat=n - 3):
+        vec = (1, 1) + mid + (1,)
+        row = table.setdefault(count_matrix(LensParams(r, vec)).entries, [vec, 0])
+        row[1] += 1
+    return [(entries, vec, count) for entries, (vec, count) in table.items()]
+
+
+def test_build_records_match_brute_force():
+    for r, n in [(5, 6), (12, 5), (15, 5), (7, 5)]:
+        records = _build_records(r, n, DEFAULT_VECTOR_BUDGET)
+        assert [(rec.entries, rec.m, rec.vector_count) for rec in records] == _brute_records(r, n)
+        for rec in records:
+            assert rec.signature == signature(LensParams(r, rec.m)), (r, rec.m)
+        # one Signature object per distinct signature
+        assert len({id(rec.signature) for rec in records}) == len({rec.signature for rec in records})
+
+
+def test_build_records_stop_at_split():
+    for r, n in [(12, 5), (15, 5), (3, 4), (9, 5)]:
+        full = _build_records(r, n, DEFAULT_VECTOR_BUDGET)
+        cut = _build_records(r, n, DEFAULT_VECTOR_BUDGET, stop_at_split=True)
+        # the last record holds the first vector of the second signature
+        second = next(rec for rec in full if rec.signature != full[0].signature)
+        assert cut[-1].m == second.m and cut[-1].vector_count == 1, (r, n)
+        assert all(rec.signature == full[0].signature for rec in cut[:-1]), (r, n)
+        assert [rec.m for rec in cut] == [rec.m for rec in full[: len(cut)]], (r, n)
+        assert all(a.vector_count <= b.vector_count for a, b in zip(cut, full)), (r, n)
+    # one signature: the walk runs to the end and the counts are whole
+    assert _build_records(5, 5, DEFAULT_VECTOR_BUDGET, stop_at_split=True) == _build_records(
+        5, 5, DEFAULT_VECTOR_BUDGET
+    )
 
 
 def test_build_records_rejects_signature_disagreement(monkeypatch):
@@ -220,8 +277,8 @@ def _record_walks(monkeypatch):
     # vectors walked per dimension, and the dimension of every solver call
     walked, solved = Counter(), []
 
-    def walk(r, n, units):
-        for item in _normalized_walk(r, n, units):
+    def walk(r, n, budget):
+        for item in _normalized_walk(r, n, budget):
             walked[n] += 1
             yield item
 

@@ -71,7 +71,7 @@ def test_factorize_rejects_small_input():
 def test_factorize_reassembles():
     for r in range(2, 10001):
         f = factorize(r)
-        assert f.value() == r
+        assert (1 << f.two_exponent) * math.prod(p**a for p, a in f.odd_primes) == r
         assert all(is_prime(p) and p % 2 == 1 for p, _ in f.odd_primes)
         assert all(a >= 1 for _, a in f.odd_primes)
         primes = [p for p, _ in f.odd_primes]
