@@ -122,9 +122,10 @@ def test_normalized_walk_matches_count_matrix(monkeypatch):
 def test_normalized_walk_memory_is_bounded():
     # a table of all 2002 gathers at r = 2003 would hold 4 * 10^6 indexes
     r = 2003
-    walk = _normalized_walk(r, 4, DEFAULT_VECTOR_BUDGET)
     tracemalloc.start()
     try:
+        # the walk's setup runs at the call, so it is measured with the vectors
+        walk = _normalized_walk(r, 4, DEFAULT_VECTOR_BUDGET)
         for _ in itertools.islice(walk, 400):
             pass
         _, peak = tracemalloc.get_traced_memory()
