@@ -163,11 +163,6 @@ def cmd_phitilde(args: argparse.Namespace) -> int:
     return EXIT_OK if match else EXIT_MISMATCH
 
 
-def _random_units_vector(rng: random.Random, r: int, n: int) -> tuple[int, ...]:
-    units = _units(r)
-    return tuple(rng.choice(units) for _ in range(n))
-
-
 def _lemma_checks(r: int, rng: random.Random) -> tuple[list[str], list[str]]:
     """Per-check report lines and failure lines for one modulus."""
     lines: list[str] = []
@@ -180,9 +175,10 @@ def _lemma_checks(r: int, rng: random.Random) -> tuple[list[str], list[str]]:
     else:
         failures.append(f"poly r={r}: formula {value} != matrix entry {direct}")
 
+    units = _units(r)
     for index in range(LEMMA_SAMPLES):
         n = rng.randint(4, 8)
-        params = LensParams(r, _random_units_vector(rng, r, n))
+        params = LensParams(r, tuple(rng.choice(units) for _ in range(n)))
         report = check_divisibility(params)
         if report.passed:
             lines.append(
@@ -199,7 +195,7 @@ def _lemma_checks(r: int, rng: random.Random) -> tuple[list[str], list[str]]:
         for alpha in range(1, max_alpha + 1):
             for index in range(LEMMA_SAMPLES):
                 n = rng.randint(2, p + 1)
-                params = LensParams(r, _random_units_vector(rng, r, n))
+                params = LensParams(r, tuple(rng.choice(units) for _ in range(n)))
                 try:
                     lhs, rhs = congruence_main(params, p, alpha)
                 except InvariantViolationError as exc:

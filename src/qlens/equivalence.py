@@ -41,7 +41,6 @@ from .errors import (
     InvalidParamsError,
     InvariantViolationError,
 )
-from .numtheory import factorize
 
 __all__ = [
     "Witness",
@@ -120,6 +119,14 @@ def _as_entries(matrix) -> IntMatrix:
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("matrix must be square")
     return rows
+
+
+def _as_pair(A, B) -> tuple[IntMatrix, IntMatrix]:
+    """A and B converted by _as_entries, checked to be of equal size."""
+    a, b = _as_entries(A), _as_entries(B)
+    if len(b) != len(a):
+        raise DimensionMismatchError(f"matrices have dimensions {len(a)} and {len(b)}")
+    return a, b
 
 
 def _require_unitriangular(entries: IntMatrix, name: str) -> None:
@@ -271,10 +278,7 @@ def obstruction_mod_k(A, B, k: int) -> CornerObstruction | None:
     """
     if k < 2:
         raise InvalidParamsError(f"obstruction modulus must be >= 2, got {k}")
-    a = _as_entries(A)
-    b = _as_entries(B)
-    if len(b) != len(a):
-        raise DimensionMismatchError("matrices must have equal dimensions")
+    a, b = _as_pair(A, B)
     g = _corner_gcd(a, b)
     return None if g is None or g % k else _corner_obstruction(a, b, k)
 
@@ -284,18 +288,21 @@ def _best_corner_obstruction(a: IntMatrix, b: IntMatrix) -> CornerObstruction | 
 
     Any modulus k admitting an obstruction must divide every non-corner
     strictly-upper entry, hence divides their gcd d; and the corners
-    differing modulo some such k is equivalent to differing modulo d. The
-    reported certificate modulus is the single prime power of d on which
-    the corners disagree, the smallest such prime first.
+    differing modulo some such k is equivalent to differing modulo d. They
+    differ modulo p^v_p(d) exactly for the primes p of e = d / gcd(d, D),
+    D the corner difference. Dividing those primes out of d by repeated
+    gcds leaves rest, and the certificate's modulus is q = d / rest: the
+    prime power of the one separating prime, or the product of those of
+    several. d is never factored.
     """
     d = _corner_gcd(a, b)
     if d is None or d < 2:
         return None
-    fact = factorize(d)
-    for p, alpha in [(2, fact.two_exponent), *fact.odd_primes]:
-        if alpha and (obstruction := _corner_obstruction(a, b, p**alpha)):
-            return obstruction
-    raise InvariantViolationError("corner difference not detected by any prime power")
+    e = d // math.gcd(d, a[0][-1] - b[0][-1])
+    rest = d
+    while (h := math.gcd(rest, e)) > 1:
+        rest //= h
+    return _corner_obstruction(a, b, d // rest)
 
 
 def block_obstruction(A, B) -> tuple[int, int] | None:
@@ -373,13 +380,8 @@ def decide_equiv(A, B) -> EquivDecision:
     finally the full Diophantine system is solved; its solvability over
     the integers is equivalent to A ~ B.
     """
-    a = _as_entries(A)
-    b = _as_entries(B)
+    a, b = _as_pair(A, B)
     n = len(a)
-    if len(b) != n:
-        raise DimensionMismatchError(
-            f"matrices have dimensions {n} and {len(b)}"
-        )
     _require_unitriangular(a, "A")
     _require_unitriangular(b, "B")
     if a == b:
@@ -426,11 +428,8 @@ def submatrix_necessary(A, B, b: int, c: int) -> bool:
     A False result proves the full matrices are not equivalent; True is
     only a necessary condition.
     """
-    ea = _as_entries(A)
-    eb = _as_entries(B)
+    ea, eb = _as_pair(A, B)
     n = len(ea)
-    if len(eb) != n:
-        raise DimensionMismatchError("matrices must have equal dimensions")
     if c < 0 or not (1 <= b <= b + c <= n):
         raise IndexOutOfRangeError(
             f"block [{b}, {b + c}] out of range for dimension {n}"

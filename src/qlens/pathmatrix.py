@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import json
 from dataclasses import dataclass
 from functools import partial
@@ -20,7 +21,7 @@ from typing import Iterator
 
 from .errors import BudgetExceededError, DimensionMismatchError, IndexOutOfRangeError, NonIntegerResultError
 from .lensgraph import LensParams, _check_rn, _units, scale
-from .numtheory import binomial, mod_inverse
+from .numtheory import binomial, factorize, mod_inverse
 
 __all__ = [
     "PathMatrix",
@@ -140,8 +141,8 @@ def _normalized_walk(
     entries from the units modulo r, in itertools.product order.
 
     (r, n) is checked, and the phi(r)^(n-3) vectors are held to budget
-    (n <= 2 has one vector and is exempt), when the walk is made, before
-    any vector is walked.
+    (n <= 2 has one vector and is exempt), when the walk is made, from r's
+    primes: before the units are listed or any vector is walked.
 
     The closing value of subgraph s is the sum of the state before it, so
     entry (i, s) = entry (i, s-1) + sum(state of row i after subgraph s-1):
@@ -178,12 +179,13 @@ def _normalized_walk(
     _check_rn(r, n)
     if n <= 2:
         return iter([((1,) * n, count_matrix(LensParams(r, (1,) * n)).entries)])
-    units = _units(r)
-    total = len(units) ** (n - 3)
+    primes = [p for p, _ in factorize(r).odd_primes] + [2] * (r % 2 == 0)
+    total = (r // math.prod(primes) * math.prod(p - 1 for p in primes)) ** (n - 3)
     if total > budget:
         raise BudgetExceededError(
             f"enumeration needs {total} vectors, exceeding the budget of {budget}"
         )
+    units = _units(r)
     width = n * r.bit_length()
     mask = (1 << width) - 1
     offsets = [i * width for i in range(n)]

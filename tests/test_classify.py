@@ -149,6 +149,22 @@ def test_normalized_walk_checks_when_called():
     assert len(list(_normalized_walk(5, 6, 64))) == 64
 
 
+def test_normalized_walk_refuses_before_listing_units(monkeypatch):
+    # phi(r) is read off r's primes, so a refused walk never lists the units
+    def units(r):
+        raise AssertionError(f"units listed for r = {r}")
+
+    monkeypatch.setattr(qlens.pathmatrix, "_units", units)
+    with pytest.raises(
+        BudgetExceededError,
+        match=f"enumeration needs {100000006} vectors, exceeding the budget of {DEFAULT_VECTOR_BUDGET}",
+    ):
+        _normalized_walk(100000007, 4, DEFAULT_VECTOR_BUDGET)
+    # phi(360) = 96, with 2 among the primes
+    with pytest.raises(BudgetExceededError, match="enumeration needs 9216 vectors"):
+        _normalized_walk(360, 5, 9215)
+
+
 def _brute_records(r, n):
     # first vector and vector count of each distinct matrix, in first-occurrence order
     units = [u for u in range(1, r) if math.gcd(u, r) == 1]

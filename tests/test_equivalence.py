@@ -11,8 +11,11 @@ from qlens.errors import (
     IndexOutOfRangeError,
     InvalidParamsError,
 )
+from qlens.classify import DEFAULT_VECTOR_BUDGET, _build_records
 from qlens.equivalence import (
+    CornerObstruction,
     Witness,
+    _best_corner_obstruction,
     block_obstruction,
     decide_equiv,
     distance_normal_form,
@@ -230,6 +233,60 @@ def test_corner_obstruction_picks_the_prime_power():
     assert verify_witness(*pair(12), decision.witness)
 
 
+def smallest_separating_prime_power(a, b):
+    """Corner obstruction at the prime power of the smallest prime of d, the
+    gcd of every non-corner strictly-upper entry, on which the corners
+    differ, found by trial division of d; None when there is none."""
+    n = len(a)
+    d = math.gcd(*(m[i][j] for m in (a, b) for i in range(n) for j in range(i + 1, n)
+                   if (i, j) != (0, n - 1)))
+    rest, p = d, 2
+    while rest > 1:
+        k = 1
+        while rest % p == 0:
+            rest //= p
+            k *= p
+        if (a[0][-1] - b[0][-1]) % k:
+            return CornerObstruction(k, (1, n), a[0][-1] % k, b[0][-1] % k)
+        p += 1
+    return None
+
+
+def test_corner_obstruction_matches_trial_division():
+    # on path matrices the gcd reading gives the smallest separating prime power
+    cells = [(15, 4, None), (45, 4, None), (72, 4, None), (120, 4, None), (10, 6, None), (40, 6, 120)]
+    for r, n, first in cells:
+        entries = [rec.entries for rec in _build_records(r, n, DEFAULT_VECTOR_BUDGET)[:first]]
+        fired = 0
+        for a, b in itertools.combinations(entries, 2):
+            expected = smallest_separating_prime_power(a, b)
+            assert _best_corner_obstruction(a, b) == expected, (r, n, a, b)
+            if expected is not None:
+                fired += 1
+                assert decide_equiv(a, b).obstruction == expected, (r, n, a, b)
+        assert fired, (r, n)
+
+
+def test_corner_obstruction_takes_every_separating_prime():
+    # d = 15 and the corners differ modulo both 3 and 5
+    a = ((1, 15, 0), (0, 1, 15), (0, 0, 1))
+    b = ((1, 15, 1), (0, 1, 15), (0, 0, 1))
+    decision = decide_equiv(a, b)
+    assert not decision.equivalent
+    assert decision.reason == "corner entries at (1, 3) differ modulo 15: 0 vs 1"
+    assert decision.obstruction == CornerObstruction(15, (1, 3), 0, 1)
+
+
+def test_corner_obstruction_does_not_factor():
+    # d is the 54-bit square of the prime 100000007: trial division of d
+    # takes seconds
+    p = 100000007
+    d = p * p
+    a = ((1, d, 0), (0, 1, d), (0, 0, 1))
+    b = ((1, d, p), (0, 1, d), (0, 0, 1))
+    assert decide_equiv(a, b).obstruction == CornerObstruction(d, (1, 3), 0, p)
+
+
 def test_decide_equiv_proof_matrices_6x6():
     def six_by_six(corner):
         strict = [
@@ -296,6 +353,17 @@ def test_obstruction_mod_k_small_and_mismatched():
     assert obstruction_mod_k(((1,),), ((1,),), 2) is None
     with pytest.raises(DimensionMismatchError):
         obstruction_mod_k(((1, 2), (0, 1)), ((1, 2, 0), (0, 1, 2), (0, 0, 1)), 2)
+
+
+def test_pair_functions_share_the_size_message():
+    small = ((1, 2), (0, 1))
+    large = ((1, 2, 0), (0, 1, 2), (0, 0, 1))
+    for call in (decide_equiv, lambda x, y: obstruction_mod_k(x, y, 2),
+                 lambda x, y: submatrix_necessary(x, y, 1, 1)):
+        with pytest.raises(DimensionMismatchError, match="^matrices have dimensions 2 and 3$"):
+            call(small, large)
+        with pytest.raises(DimensionMismatchError, match="^matrices have dimensions 3 and 2$"):
+            call(large, small)
 
 
 def test_obstruction_never_contradicts_solver():
