@@ -92,30 +92,6 @@ class ClassPartition:
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
-    @classmethod
-    def from_json(cls, text: str) -> "ClassPartition":
-        payload = json.loads(text)
-        classes = tuple(
-            ClassRecord(
-                tuple(int(v) for v in c["representative_m"]),
-                int(c["size"]),
-                int(c["size_matrices"]),
-                Signature(
-                    tuple(int(p) for p in c["signature"]["primes"]),
-                    tuple(tuple(int(v) for v in w) for w in c["signature"]["windows"]),
-                ),
-                c["matrix_digest"],
-            )
-            for c in payload["classes"]
-        )
-        return cls(
-            int(payload["r"]),
-            int(payload["n"]),
-            int(payload["phi"]),
-            int(payload["lower_bound"]),
-            classes,
-        )
-
 
 @dataclass(frozen=True)
 class NotFoundBelow:

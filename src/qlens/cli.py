@@ -32,7 +32,7 @@ from .errors import (
     QlensError,
 )
 from .invariants import check_divisibility, congruence_main, phitilde_formula
-from .lensgraph import LensParams, _units
+from .lensgraph import LensParams, _check_rn, _units
 from .numtheory import factorize
 from .pathmatrix import POOL_MIN_ROW_STEPS, count_matrix, poly_1to6
 
@@ -43,6 +43,12 @@ EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
 LEMMA_SAMPLES = 10
+# Most row steps (r per column the row DP sweeps) of verify --suite lemmas
+# over all of --r, each r costing (15 + 10 * 28 + 10 * sum(alpha * p)) * r, p^alpha
+# exactly dividing r: the poly check, divisibility samples at n <= 8 and
+# congruence samples at n <= p + 1. On 2 CPUs r = 1009 (1.05 * 10^7 steps) took
+# 1.4 s and r = 1409 (2.03 * 10^7) 4.1 s; r = 3001 (9.1 * 10^7) took 31 s.
+LEMMA_MAX_ROW_STEPS = 2 * 10**7
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -76,10 +82,6 @@ def _emit(text: str, output: str | None) -> None:
         raise InvalidParamsError(f"cannot write {output}: {exc.strerror}") from None
 
 
-def _rows_compact(entries) -> str:
-    return json.dumps([list(row) for row in entries], separators=(",", ":"))
-
-
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = LensParams(args.r, _parse_ints(args.m, "m vector"))
     matrix = count_matrix(params, jobs=args.jobs)
@@ -88,7 +90,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         _emit(matrix.to_csv().rstrip("\n"), args.output)
     else:
-        _emit(_rows_compact(matrix.entries), args.output)
+        _emit(json.dumps(matrix.entries, separators=(",", ":")), args.output)
     return EXIT_OK
 
 
@@ -98,9 +100,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     decision = decide_equiv(a, b)
     if args.format == "json":
         payload = asdict(decision)
-        payload["witness"] = (
-            json.loads(decision.witness.to_json()) if decision.witness else None
-        )
+        payload["witness"] = decision.witness._decimal() if decision.witness else None
         _emit(json.dumps(payload, separators=(",", ":")), args.output)
     else:
         lines = ["Equivalent" if decision.equivalent else "NotEquivalent"]
@@ -163,6 +163,20 @@ def cmd_phitilde(args: argparse.Namespace) -> int:
     return EXIT_OK if match else EXIT_MISMATCH
 
 
+def _check_lemma_steps(r_values: tuple[int, ...]) -> None:
+    """Refuse the lemma suite before any sample past LEMMA_MAX_ROW_STEPS."""
+    steps = 0
+    for r in r_values:
+        _check_rn(r)
+        steps += (15 + LEMMA_SAMPLES * 28) * r
+        if steps <= LEMMA_MAX_ROW_STEPS:  # r is factored only below the bound
+            steps += LEMMA_SAMPLES * r * sum(a * p for p, a in factorize(r).odd_primes)
+        if steps > LEMMA_MAX_ROW_STEPS:
+            raise BudgetExceededError(
+                f"lemma suite needs over {LEMMA_MAX_ROW_STEPS} row steps by r = {r}"
+            )
+
+
 def _lemma_checks(r: int, rng: random.Random) -> tuple[list[str], list[str]]:
     """Per-check report lines and failure lines for one modulus."""
     lines: list[str] = []
@@ -211,6 +225,7 @@ def _lemma_checks(r: int, rng: random.Random) -> tuple[list[str], list[str]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     r_values = _parse_ints(args.r, "--r list")
     if args.suite == "lemmas":
+        _check_lemma_steps(r_values)
         rng = random.Random(args.seed)
         lines: list[str] = []
         failures: list[str] = []
@@ -322,6 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # entries and witnesses may pass Python's int-to-str digit limit (none
+    # before 3.10.7), so output runs without it until main returns
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         if args.jobs is None:
             args.jobs = _default_jobs()
@@ -343,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     except QlensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

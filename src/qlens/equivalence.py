@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .errors import (
@@ -67,20 +67,12 @@ class Witness:
     U: IntMatrix
     V: IntMatrix
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "U": [[str(v) for v in row] for row in self.U],
-                "V": [[str(v) for v in row] for row in self.V],
-            }
-        )
+    def _decimal(self) -> dict[str, list[list[str]]]:
+        """U and V in decimal strings, as to_json and equiv --format json print them."""
+        return {k: [[str(v) for v in row] for row in m] for k, m in (("U", self.U), ("V", self.V))}
 
-    @classmethod
-    def from_json(cls, text: str) -> "Witness":
-        payload = json.loads(text)
-        u = tuple(tuple(int(v) for v in row) for row in payload["U"])
-        v = tuple(tuple(int(v) for v in row) for row in payload["V"])
-        return cls(u, v)
+    def to_json(self) -> str:
+        return json.dumps(self._decimal())
 
 
 @dataclass(frozen=True)
@@ -112,9 +104,22 @@ class EquivDecision:
     obstruction: CornerObstruction | None = None
 
 
-def _as_entries(matrix) -> IntMatrix:
-    entries = getattr(matrix, "entries", matrix)
-    rows = tuple(tuple(int(v) for v in row) for row in entries)
+def _int_rows(rows, name: str) -> IntMatrix:
+    """rows read with operator.index, which refuses the float or string that
+    int() would truncate or parse; the error names the entry, 1-based."""
+    try:
+        return tuple(tuple(map(index, row)) for row in rows)
+    except TypeError:
+        for i, row in enumerate(rows, 1):
+            for j, v in enumerate(row, 1):
+                if not hasattr(type(v), "__index__"):
+                    msg = f"{name} entry ({i}, {j}) is not an integer: {v!r}"
+                    raise InvalidParamsError(msg) from None
+        raise
+
+
+def _as_entries(matrix, name: str) -> IntMatrix:
+    rows = _int_rows(getattr(matrix, "entries", matrix), name)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("matrix must be square")
@@ -123,7 +128,7 @@ def _as_entries(matrix) -> IntMatrix:
 
 def _as_pair(A, B) -> tuple[IntMatrix, IntMatrix]:
     """A and B converted by _as_entries, checked to be of equal size."""
-    a, b = _as_entries(A), _as_entries(B)
+    a, b = _as_entries(A, "A"), _as_entries(B, "B")
     if len(b) != len(a):
         raise DimensionMismatchError(f"matrices have dimensions {len(a)} and {len(b)}")
     return a, b
@@ -167,16 +172,17 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
 
     M is converted once to sparse columns and solved by _solve_columns.
     """
+    matrix = _int_rows(matrix, "matrix")
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    residual = [int(v) for v in c]
+    residual = list(_int_rows((c,), "right-hand side")[0])
     if len(residual) != rows:
         raise DimensionMismatchError(
             f"right-hand side has {len(residual)} entries for {rows} equations"
         )
     if any(len(row) != cols for row in matrix):
         raise DimensionMismatchError("matrix rows must have equal length")
-    columns = [{i: int(v) for i, v in enumerate(column) if v} for column in zip(*matrix)]
+    columns = [{i: v for i, v in enumerate(column) if v} for column in zip(*matrix)]
     return _solve_columns(columns, residual)
 
 
@@ -410,8 +416,10 @@ def decide_equiv(A, B) -> EquivDecision:
 
 def verify_witness(A, B, witness: Witness) -> bool:
     """True iff U, V are unipotent upper triangular and U(A-I) = (B-I)V,
-    checked as UA - U = BV - V in 2n^2 dot products."""
-    return _witness_holds(_as_entries(A), _as_entries(B), witness)
+    checked as UA - U = BV - V in 2n^2 dot products. Every entry of A, B,
+    U and V must be an integer."""
+    w = Witness(_int_rows(witness.U, "U"), _int_rows(witness.V, "V"))
+    return _witness_holds(_as_entries(A, "A"), _as_entries(B, "B"), w)
 
 
 def _witness_holds(a: IntMatrix, b: IntMatrix, witness: Witness) -> bool:
@@ -442,7 +450,7 @@ def submatrix_necessary(A, B, b: int, c: int) -> bool:
 
 def unipotent_inverse(matrix) -> IntMatrix:
     """Exact integer inverse of a unipotent upper-triangular matrix."""
-    m = _as_entries(matrix)
+    m = _as_entries(matrix, "matrix")
     _require_unitriangular(m, "matrix")
     n = len(m)
     inv = _identity(n)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Literal
 
 from .errors import (
@@ -50,8 +51,8 @@ DEFAULT_PATH_BUDGET = 10**8
 class LensParams:
     """Modulus r > 2 and a vector m of units modulo r.
 
-    Entries of m may be given as any integers; they are reduced into
-    [0, r-1] on construction and must then be coprime to r.
+    Entries of m may be any integers, not floats or strings; they are reduced
+    into [0, r-1] on construction and must then be coprime to r.
     """
 
     r: int
@@ -63,9 +64,11 @@ class LensParams:
         if not self.m:
             raise InvalidParamsError("m must contain at least one entry")
         for idx, value in enumerate(self.m, start=1):
-            if math.gcd(int(value), self.r) != 1:
+            if not hasattr(type(value), "__index__"):
+                raise InvalidParamsError(f"m_{idx} = {value!r} is not an integer")
+            if math.gcd(value, self.r) != 1:
                 raise NonUnitError(f"m_{idx} = {value} is not a unit modulo {self.r}")
-        object.__setattr__(self, "m", tuple(int(v) % self.r for v in self.m))
+        object.__setattr__(self, "m", tuple(index(v) % self.r for v in self.m))
 
     @property
     def n(self) -> int:

@@ -40,6 +40,10 @@ POOL_MIN_ROW_STEPS = 2_400_000
 # phi(r) gathers would hold 4 * 10^6 indexes at r = 2003: 31 MiB, built for
 # 0.44 s before the first vector, where the capped walk peaks at 0.84 MiB.
 GATHER_CACHE_INDEXES = 2**16
+# A refused walk gives its vector count in full below this (4,300 digits, the
+# default int-to-str limit) and as phi(r)^(n-3) past it; as phi(r) >= 2, the
+# count is built to at most 14,285 + budget.bit_length() factors.
+WALK_COUNT_CAP = 10**4300
 
 
 @dataclass(frozen=True)
@@ -79,18 +83,6 @@ class PathMatrix:
             "entries": [str(v) for row in self.entries for v in row],
         }
         return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PathMatrix":
-        payload = json.loads(text)
-        n = int(payload["n"])
-        flat = [int(v) for v in payload["entries"]]
-        if len(flat) != n * n:
-            raise DimensionMismatchError(
-                f"expected {n * n} entries for n={n}, got {len(flat)}"
-            )
-        rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-        return cls(int(payload["r"]), tuple(int(v) for v in payload["m"]), rows)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -180,10 +172,14 @@ def _normalized_walk(
     if n <= 2:
         return iter([((1,) * n, count_matrix(LensParams(r, (1,) * n)).entries)])
     primes = [p for p, _ in factorize(r).odd_primes] + [2] * (r % 2 == 0)
-    total = (r // math.prod(primes) * math.prod(p - 1 for p in primes)) ** (n - 3)
+    phi = r // math.prod(primes) * math.prod(p - 1 for p in primes)
+    total, k = 1, 0
+    while k < n - 3 and (total <= budget or total < WALK_COUNT_CAP):
+        total, k = total * phi, k + 1
     if total > budget:
+        count = total if k == n - 3 and total < WALK_COUNT_CAP else f"{phi}^{n - 3}"
         raise BudgetExceededError(
-            f"enumeration needs {total} vectors, exceeding the budget of {budget}"
+            f"enumeration needs {count} vectors, exceeding the budget of {budget}"
         )
     units = _units(r)
     width = n * r.bit_length()

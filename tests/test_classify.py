@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict
@@ -21,7 +22,6 @@ from qlens.errors import (
 )
 from qlens.classify import (
     DEFAULT_VECTOR_BUDGET,
-    ClassPartition,
     NotFoundBelow,
     enumerate_matrices,
     partition_classes,
@@ -149,6 +149,30 @@ def test_normalized_walk_checks_when_called():
     assert len(list(_normalized_walk(5, 6, 64))) == 64
 
 
+def test_walk_refuses_without_building_the_count(capsys):
+    # past 4,300 digits phi(7)^(n-3) is neither built nor printed, but
+    # written as a power
+    for n in (5529, 10_000, 10**9):
+        start = time.perf_counter()
+        assert main(["classes", "--r", "7", "--n", str(n)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: enumeration needs 6^{n - 3} vectors, exceeding the budget of 10000000\n"
+        )
+    # up to 4,300 digits the count is given in full, as it always was
+    assert main(["classes", "--r", "7", "--n", "5528"]) == 3
+    count = capsys.readouterr().err.split()[3]
+    assert len(count) == 4300 and count.isdigit()
+    assert main(["classes", "--r", "7", "--n", "8", "--budget", "100"]) == 3
+    assert capsys.readouterr().err == (
+        "error: enumeration needs 7776 vectors, exceeding the budget of 100\n"
+    )
+    with pytest.raises(BudgetExceededError, match="needs 216 vectors, exceeding the budget of 0$"):
+        _normalized_walk(7, 6, 0)
+
+
 def test_normalized_walk_refuses_before_listing_units(monkeypatch):
     # phi(r) is read off r's primes, so a refused walk never lists the units
     def units(r):
@@ -272,9 +296,10 @@ def test_partition_budget_error():
         partition_classes(7, 8, budget=1000)
 
 
-def test_class_partition_json_round_trip():
-    part = partition_classes(5, 5)
-    assert ClassPartition.from_json(part.to_json()) == part
+def test_class_partition_json_round_trip(capsys):
+    # classes --format json prints the library's own JSON, byte for byte
+    assert main(["classes", "--r", "5", "--n", "5", "--format", "json"]) == 0
+    assert capsys.readouterr().out == partition_classes(5, 5).to_json() + "\n"
 
 
 def test_phitilde_search_examples():

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -15,12 +16,13 @@ import pytest
 
 import qlens
 import qlens.classify
+import qlens.cli
 import qlens.pathmatrix
-from qlens.classify import ClassPartition, partition_classes
+from qlens.classify import partition_classes
 from qlens.cli import main
-from qlens.equivalence import Witness, verify_witness
+from qlens.equivalence import EquivDecision, Witness, verify_witness
 from qlens.lensgraph import LensParams
-from qlens.pathmatrix import PathMatrix, count_matrix
+from qlens.pathmatrix import count_matrix
 
 
 def run(capsys, *argv):
@@ -38,14 +40,14 @@ def test_matrix_plain(capsys):
 def test_matrix_corner_value(capsys):
     code, out, _ = run(capsys, "matrix", "--r", "3", "--m", "1,2,1,1", "--format", "json")
     assert code == 0
-    matrix = PathMatrix.from_json(out)
-    assert matrix.entry(1, 4) == 11
+    # entries are row-major decimal strings: (1, 4) is the fourth
+    assert json.loads(out)["entries"][3] == "11"
 
 
 def test_matrix_json_round_trip(capsys):
     code, out, _ = run(capsys, "matrix", "--r", "7", "--m", "1,3,2,1", "--format", "json")
     assert code == 0
-    assert PathMatrix.from_json(out) == count_matrix(LensParams(7, (1, 3, 2, 1)))
+    assert out == count_matrix(LensParams(7, (1, 3, 2, 1))).to_json() + "\n"
 
 
 def test_matrix_csv(capsys):
@@ -66,7 +68,7 @@ def test_matrix_non_unit_exit_2(capsys):
 def test_matrix_negative_entries_reduced(capsys):
     code, out, _ = run(capsys, "matrix", "--r", "7", "--m", "1,-1,1", "--format", "json")
     assert code == 0
-    assert PathMatrix.from_json(out).m == (1, 6, 1)
+    assert json.loads(out)["m"] == [1, 6, 1]
 
 
 def test_matrix_unparsable_m(capsys):
@@ -91,7 +93,9 @@ def test_equiv_equivalent_with_verified_witness(capsys):
     payload = json.loads(out)
     assert payload["equivalent"] is True
     assert payload["obstruction"] is None
-    witness = Witness.from_json(json.dumps(payload["witness"]))
+    witness = Witness(
+        *(tuple(tuple(map(int, row)) for row in payload["witness"][k]) for k in "UV")
+    )
     a = count_matrix(LensParams(5, (1, 1, 1, 1)))
     b = count_matrix(LensParams(5, (1, 3, 1, 1)))
     assert verify_witness(a, b, witness)
@@ -126,7 +130,7 @@ def test_classes_plain(capsys):
 def test_classes_json_round_trip(capsys):
     code, out, _ = run(capsys, "classes", "--r", "3", "--n", "5", "--format", "json")
     assert code == 0
-    assert ClassPartition.from_json(out) == partition_classes(3, 5)
+    assert out == partition_classes(3, 5).to_json() + "\n"
 
 
 def test_classes_csv_header(capsys):
@@ -204,6 +208,34 @@ def test_verify_lemmas_seed_deterministic(capsys):
     assert first == second
 
 
+def test_verify_lemmas_refuses_a_large_modulus_before_sampling(capsys):
+    # 10 congruence samples at n <= p + 1 cost about 10 * p * r row steps
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", "lemmas", "--r", "100003")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == "error: lemma suite needs over 20000000 row steps by r = 100003\n"
+
+
+def test_equiv_prints_witness_entries_past_the_digit_limit(capsys, monkeypatch):
+    # 10^5000 + 7 has 5,001 digits, past Python's default limit of 4,300 for
+    # int to str; it is built without a conversion, and so is its text
+    big = 10**5000 + 7
+    digits = "1" + "0" * 4999 + "7"
+    ident = ((1, 0), (0, 1))
+    decision = EquivDecision(True, "witness found", Witness(((1, big), (0, 1)), ident))
+    monkeypatch.setattr(qlens.cli, "decide_equiv", lambda a, b: decision)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for fmt in ("plain", "json"):
+        code, out, err = run(capsys, "equiv", "--r", "5", "--m1", "1,1", "--m2", "1,1", "--format", fmt)
+        assert code == 0
+        assert err == ""
+        assert f'"{digits}"' in out
+        # the caller's limit is back once main returns
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_verify_conjectures(capsys):
     code, out, _ = run(
         capsys,
@@ -225,7 +257,7 @@ def test_output_flag_writes_file(capsys, tmp_path):
     )
     assert code == 0
     assert out == ""
-    assert PathMatrix.from_json(target.read_text()).entry(1, 3) == 15
+    assert json.loads(target.read_text())["entries"][2] == "15"
 
 
 @pytest.mark.parametrize(
@@ -363,6 +395,15 @@ PINNED_DIGESTS = [
          "--m2", "1,5,3,4,5,6,7,8,9,10,11,12", "--format", "json"),
         "c018c112656b65c20670b62c6e17b36ee5dfc4111f5b0a98944d36add9feba0c",
     ),
+    # every lemma check of five moduli at two seeds, under the suite's bound
+    (
+        ("verify", "--suite", "lemmas", "--r", "3,5,12,15,45", "--seed", "0"),
+        "cc2a43f667d6a147c450325ebc73d89f903091a91a398d51f0ada1437041953c",
+    ),
+    (
+        ("verify", "--suite", "lemmas", "--r", "3,5,12,15,45", "--seed", "1"),
+        "4c696b1f1918d2d6d716440ec43ce96292ed2be6f477e708535725f4ae67f993",
+    ),
 ]
 
 
@@ -371,7 +412,7 @@ PINNED_DIGESTS = [
     PINNED_DIGESTS,
     ids=[
         "classes-12-7-json", "classes-5-7-csv", "classes-8-7-json", "classes-5-8-json",
-        "classes-9-7-json", "equiv-13-solved-json",
+        "classes-9-7-json", "equiv-13-solved-json", "verify-lemmas-seed-0", "verify-lemmas-seed-1",
     ],
 )
 def test_output_digest_pinned(capsys, argv, digest):

@@ -1,8 +1,10 @@
 """Tests for Diophantine solving and the equivalence decision."""
 
 import itertools
+import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from qlens.errors import (
     InvalidParamsError,
 )
 from qlens.classify import DEFAULT_VECTOR_BUDGET, _build_records
+from qlens.cli import main
 from qlens.equivalence import (
     CornerObstruction,
     Witness,
@@ -573,24 +576,66 @@ def test_decide_equiv_deterministic_witness():
     assert w1 == w2
 
 
-def test_decide_equiv_witness_entries_stay_small():
+def _equiv_json(capsys, r, m1, m2) -> dict:
+    argv = ["equiv", "--r", str(r), "--m1", m1, "--m2", m2, "--format", "json"]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_decide_equiv_witness_entries_stay_small(capsys):
     # A pair from classes --r 12 --n 7 on which a Smith-normal-form solve
-    # gives 10,135-bit witness entries. Past about 14,284 bits
-    # Witness.to_json fails on Python's 4,300-digit limit for int to str.
+    # gives 10,135-bit witness entries, where this solver's stay below 256 bits.
     a = count_matrix(LensParams(12, (1, 1, 5, 7, 5, 1, 1)))
     b = count_matrix(LensParams(12, (1, 1, 11, 1, 11, 1, 1)))
     decision = decide_equiv(a, b)
     assert decision.equivalent
     w = decision.witness
     assert all(abs(v) < 2**256 for mat in (w.U, w.V) for row in mat for v in row)
-    assert Witness.from_json(w.to_json()) == w
+    payload = _equiv_json(capsys, 12, "1,1,5,7,5,1,1", "1,1,11,1,11,1,1")
+    assert payload["witness"] == json.loads(w.to_json())
 
 
-def test_witness_json_round_trip():
+def test_witness_json_round_trip(capsys):
     a = count_matrix(LensParams(5, (1, 1, 1, 1)))
     b = count_matrix(LensParams(5, (1, 2, 1, 1)))
     w = decide_equiv(a, b).witness
-    assert Witness.from_json(w.to_json()) == w
+    # entries are decimal strings, in equiv --format json as in to_json
+    assert json.loads(w.to_json()) == {
+        k: [[str(v) for v in row] for row in m] for k, m in (("U", w.U), ("V", w.V))
+    }
+    assert _equiv_json(capsys, 5, "1,1,1,1", "1,2,1,1")["witness"] == json.loads(w.to_json())
+
+
+def test_library_refuses_entries_that_are_not_integers():
+    # int() would truncate 2.7 to 2 and call the pair equal
+    with pytest.raises(InvalidParamsError, match=r"^A entry \(1, 2\) is not an integer: 2\.7$"):
+        decide_equiv(((1, 2.7), (0, 1)), ((1, 2), (0, 1)))
+    with pytest.raises(InvalidParamsError, match=r"^B entry \(1, 2\) is not an integer: '2'$"):
+        decide_equiv(((1, 2), (0, 1)), ((1, "2"), (0, 1)))
+    # int() would solve 2x = 5
+    with pytest.raises(InvalidParamsError, match=r"^matrix entry \(1, 1\) is not an integer: 2\.5$"):
+        solve_diophantine([[2.5]], [5])
+    with pytest.raises(InvalidParamsError, match=r"^right-hand side entry \(1, 2\) is not an integer: '5'$"):
+        solve_diophantine([[2], [3]], [4, "5"])
+    with pytest.raises(InvalidParamsError, match="matrix entry"):
+        unipotent_inverse(((1, 0.5), (0, 1)))
+    # exact integers of any integer type are read as ints
+    assert solve_diophantine([[True, 2]], [3]) == (3, 0)
+
+
+def test_verify_witness_refuses_a_rational_witness():
+    # decide_equiv refutes this pair modulo 2, yet U(A - I) = (B - I)V holds
+    # over the rationals with U[0][1] = 1/2
+    a = ((1, 2, 0), (0, 1, 2), (0, 0, 1))
+    b = ((1, 2, 1), (0, 1, 2), (0, 0, 1))
+    assert not decide_equiv(a, b).equivalent
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for half in (0.5, Fraction(1, 2)):
+        u = ((1, half, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(InvalidParamsError, match=r"^U entry \(1, 2\) is not an integer"):
+            verify_witness(a, b, Witness(u, ident))
+        with pytest.raises(InvalidParamsError, match=r"^V entry \(1, 2\) is not an integer"):
+            verify_witness(a, b, Witness(ident, u))
 
 
 def _random_unipotent(rng, n):

@@ -41,6 +41,15 @@ def test_params_reject_empty_m():
         LensParams(5, ())
 
 
+def test_params_refuse_entries_that_are_not_integers():
+    # int() would truncate 1.9 and 2.2 and give m = (1, 2, 1)
+    with pytest.raises(InvalidParamsError, match=r"^m_1 = 1\.9 is not an integer$"):
+        LensParams(5, (1.9, 2.2, 1))
+    with pytest.raises(InvalidParamsError, match=r"^m_2 = '2' is not an integer$"):
+        LensParams(5, (1, "2", 1))
+    assert LensParams(5, (True, -1)).m == (1, 4)
+
+
 def test_params_name_offending_entry():
     with pytest.raises(NonUnitError) as exc:
         LensParams(6, (1, 2, 5))

@@ -10,6 +10,7 @@ import random
 import pytest
 
 import qlens.pathmatrix
+from qlens.cli import main
 from qlens.errors import (
     BadModulusError,
     DimensionMismatchError,
@@ -200,20 +201,16 @@ def test_normalize_preserves_matrix():
         assert count_matrix(p).entries == count_matrix(q).entries
 
 
-def test_json_round_trip():
+def test_json_round_trip(capsys):
     mat = count_matrix(LensParams(5, (1, 2, 1)))
     payload = json.loads(mat.to_json())
     assert payload["r"] == 5
     assert payload["m"] == [1, 2, 1]
     assert payload["n"] == 3
     assert payload["entries"] == ["1", "5", "15", "0", "1", "5", "0", "0", "1"]
-    assert PathMatrix.from_json(mat.to_json()) == mat
-
-
-def test_from_json_rejects_wrong_length():
-    bad = json.dumps({"r": 5, "m": [1, 1], "n": 2, "entries": ["1", "5", "0"]})
-    with pytest.raises(DimensionMismatchError):
-        PathMatrix.from_json(bad)
+    # matrix --format json prints this JSON, byte for byte
+    assert main(["matrix", "--r", "5", "--m", "1,2,1", "--format", "json"]) == 0
+    assert capsys.readouterr().out == mat.to_json() + "\n"
 
 
 def test_csv_matches_entries():
