@@ -47,7 +47,7 @@ LEMMA_SAMPLES = 10
 # over all of --r, each r costing (15 + 10 * 28 + 10 * sum(alpha * p)) * r, p^alpha
 # exactly dividing r: the poly check, divisibility samples at n <= 8 and
 # congruence samples at n <= p + 1. On 2 CPUs r = 1009 (1.05 * 10^7 steps) took
-# 1.4 s and r = 1409 (2.03 * 10^7) 4.1 s; r = 3001 (9.1 * 10^7) took 31 s.
+# 1.2-1.4 s and r = 1409 (2.03 * 10^7) 3.2-3.7 s; r = 3001 (9.1 * 10^7) 22 s.
 LEMMA_MAX_ROW_STEPS = 2 * 10**7
 
 

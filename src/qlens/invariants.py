@@ -14,7 +14,7 @@ from math import prod
 from .errors import HypothesisUnmetError, InvalidParamsError, InvariantViolationError
 from .lensgraph import LensParams, _check_rn
 from .numtheory import binomial, factorize, is_prime, mod_inverse, padic_valuation
-from .pathmatrix import PathMatrix, _count_row, count_matrix
+from .pathmatrix import PathMatrix, _count_rows, count_matrix
 
 __all__ = [
     "Signature",
@@ -145,7 +145,7 @@ def congruence_main(params: LensParams, p: int, alpha: int) -> tuple[int, int]:
     if n > p + 1:
         raise InvalidParamsError(f"need n <= p + 1, got n = {n} for p = {p}")
     modulus = p**alpha
-    first_row = _count_row(params.r, params.m, 1)
+    (first_row,) = _count_rows(params.r, params.m, (1,))
     for a in range(2, n):
         if first_row[a - 1] % modulus:
             raise HypothesisUnmetError(

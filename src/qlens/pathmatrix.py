@@ -13,9 +13,10 @@ import csv
 import io
 import math
 import json
+from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 from typing import Iterator
 
@@ -32,9 +33,15 @@ __all__ = [
 ]
 
 # Fewest row steps (r * n^2) for which the row pool of count_matrix pays.
-# On 2 CPUs (median of 5, jobs=2 against serial) the pool broke even at
-# (1009, 32), 1.03 * 10^6 steps, and won from (1511, 40), 2.42 * 10^6 steps.
-POOL_MIN_ROW_STEPS = 2_400_000
+# On 2 CPUs (7 alternating runs, jobs=2 against serial) the pool lost at
+# (1009, 32), (1511, 40), (2003, 48) and (3001, 56), 9.4 * 10^6 steps, and
+# won in median at (3001, 64) and (12007, 32), 1.23 * 10^7 steps.
+POOL_MIN_ROW_STEPS = 12_000_000
+# Most row steps (r * n^2) count_matrix takes on. At it, on 2 CPUs under ulimit
+# -v 1500000, n = 2 (r = 2.5 * 10^7) took 1.3 s and 972 MB peak RSS, n = 3 up to
+# 7.8 s and 1,079 MB, n = 8 (r = 1.6 * 10^6) 16.5 s and 219 MB, n = 64 5.0 s and
+# 26 MB; at twice it, n = 2 ran out of memory.
+MATRIX_MAX_ROW_STEPS = 10**8
 # Indexes of the gathers one _normalized_walk keeps, 8 bytes each. This holds
 # every gather at r = 35, 55 and 211 (phi(r) * r <= 44,310). A table of all
 # phi(r) gathers would hold 4 * 10^6 indexes at r = 2003: 31 MiB, built for
@@ -92,38 +99,38 @@ class PathMatrix:
         return buf.getvalue()
 
 
-def _advance(r: int, f: list[int], shift: int) -> list[int]:
-    """Row state after one more subgraph, whose unit is shift.
-
-    The recurrence g[t] = f[t] + g[t - shift] is a prefix sum along the
-    cycle t = k*shift mod r, which visits every column but 0 once because
-    shift is a unit. As f[0] = 0, its last term g[r - shift] is sum(f).
-    """
-    g = [0] * r
-    acc = 0
-    u = 0
-    for _ in range(r - 1):
-        u = (u + shift) % r
-        acc += f[u]
-        g[u] = acc
-    return g
-
-
-def _count_row(r: int, m: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Entries (i, i..n) of the path-count matrix, 1-based source i.
+def _count_rows(r: int, m: tuple[int, ...], rows) -> list[tuple[int, ...]]:
+    """Entries (i, i..n) of the path-count matrix for each 1-based source i
+    in rows.
 
     f[t] counts column-0-avoiding walks from (i, 0) to the current
-    subgraph's column t. Closing into column 0 in subgraph s uses the
-    walk count at column r - m_s.
+    subgraph's column t, 1 off column 0 at the start. The next unit u takes
+    it to g[t] = f[t] + g[t - u], a prefix sum along the cycle t = k*u mod r
+    that visits every column but 0; closing into column 0 adds g[r - u],
+    the last prefix sum. As in _normalized_walk, a state is kept in the
+    cycle frame of its last unit f, s[k] = g[k*f mod r], so advancing by u
+    is one gather with stride u * f^-1 mod r and one accumulate, both in C.
+    The start state reads the same in every frame and a repeated unit has
+    stride 1, so those advances are a bare accumulate. Each stride's
+    indexes are built once per call for all its rows, in an array of the
+    narrowest type that holds r - 1 (2 bytes an index up to r = 65536).
     """
-    f = [0] + [1] * (r - 1)
-    total = f[r - m[i - 1]]
-    row = [total]
-    for shift in m[i:]:
-        f = _advance(r, f, shift)
-        total += f[r - shift]
-        row.append(total)
-    return tuple(row)
+    typecode = next(t for t in "BHIQ" if r <= 1 << 8 * array(t).itemsize)
+    gathers: dict[int, array] = {}
+    out = []
+    for i in rows:
+        row, state = [1], chain((0,), repeat(1, r - 1))
+        for f, u in zip(m[i : i + 1] + m[i:], m[i:]):
+            if u != f:
+                w = u * mod_inverse(f, r) % r
+                idx = gathers.get(w)
+                if idx is None:
+                    idx = gathers[w] = array(typecode, [k % r for k in range(0, r * w, w)])
+                state = map(state.__getitem__, idx)
+            state = list(accumulate(state))
+            row.append(row[-1] + state[-1])
+        out.append(tuple(row))
+    return out
 
 
 def _normalized_walk(
@@ -146,10 +153,10 @@ def _normalized_walk(
     Every state at a node was last advanced by the node's last shift f,
     and a fresh row's start state reads the same in any order, so each
     state is kept in the f-cycle frame s[k] = g[k*f mod r]: the prefix sums
-    that _advance built, in the order it built them. Advancing by u is then
-    a gather of s with stride w = u * f^-1 mod r followed by a prefix sum,
-    which yields the new state in the u-cycle frame. The rows of a node
-    share that frame, so they are packed into one list of r ints,
+    of the recurrence in _count_rows, in the order they are taken.
+    Advancing by u is then a gather of s with stride w = u * f^-1 mod r
+    followed by a prefix sum, which yields the new state in the u-cycle
+    frame. The rows of a node share that frame, so they are packed into one list of r ints,
     packed[k] = sum_i s_i[k] << (i * width), width = n * r.bit_length():
     one gather and one accumulate (both in C) advance every row, the new
     row enters as the start state shifted into its slot, one sum(packed)
@@ -164,9 +171,8 @@ def _normalized_walk(
 
     Gathers are cached per walk up to GATHER_CACHE_INDEXES indexes and
     built for each use past that, so the walk's extra memory does not grow
-    with r. count_matrix keeps the scalar _advance: each of its steps is
-    made once per row, so a gather built per step costs more than the loop,
-    and a prebuilt table of them costs more memory than the matrix.
+    with r. _count_rows takes the same steps one row at a time, as the rows
+    of a matrix share no prefix, with gathers shared by all its rows.
     """
     _check_rn(r, n)
     if n <= 2:
@@ -249,14 +255,18 @@ def _pool_map(fn, items, jobs: int | None, pays: bool) -> list:
 def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
     """Path-count matrix of (r; m) in O(n^2 * r) time.
 
-    With jobs > 1 and at least POOL_MIN_ROW_STEPS row steps, the
-    per-source rows are computed in a pool of at most n processes;
+    Past MATRIX_MAX_ROW_STEPS row steps (r * n^2) it refuses before any
+    state is built. With jobs > 1 and at least POOL_MIN_ROW_STEPS row steps,
+    the rows are computed in min(jobs, n) interleaved groups in a pool;
     assembly order is fixed, so the result is identical either way.
     """
     r, m, n = params.r, params.m, params.n
-    pays = r * n * n >= POOL_MIN_ROW_STEPS
-    tails = _pool_map(partial(_count_row, r, m), range(1, n + 1), jobs, pays)
-    entries = tuple((0,) * i + tail for i, tail in enumerate(tails))
+    if r * n * n > MATRIX_MAX_ROW_STEPS:
+        raise BudgetExceededError(f"matrix needs over {MATRIX_MAX_ROW_STEPS} row steps (r * n^2)")
+    k = min(jobs or 1, n) if r * n * n >= POOL_MIN_ROW_STEPS else 1
+    groups = [range(j + 1, n + 1, k) for j in range(k)]
+    rows = _pool_map(partial(_count_rows, r, m), groups, jobs, k > 1)
+    entries = tuple((0,) * i + rows[i % k][i // k] for i in range(n))
     return PathMatrix(r, m, entries)
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ import qlens.pathmatrix
 from qlens.cli import main
 from qlens.errors import (
     BadModulusError,
+    BudgetExceededError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidParamsError,
@@ -20,6 +22,7 @@ from qlens.errors import (
 from qlens.lensgraph import LensParams, build_graph, enumerate_legal_paths, scale
 from qlens.pathmatrix import (
     PathMatrix,
+    _count_rows,
     closed_form_all_ones,
     count_matrix,
     normalize,
@@ -36,6 +39,65 @@ def random_params(rng, r_max=40, n_max=8, r_min=3):
     n = rng.randrange(1, n_max + 1)
     us = units_of(r)
     return LensParams(r, tuple(rng.choice(us) for _ in range(n)))
+
+
+def reference_rows(r, m):
+    """Rows (i, i..n) by the recurrence itself, one column at a time: the
+    next subgraph, with unit u, takes f to g[t] = f[t] + g[t - u], and
+    closing into its column 0 adds g[r - u]."""
+    rows = []
+    for i in range(1, len(m) + 1):
+        f = [0] + [1] * (r - 1)
+        row = [1]
+        for u in m[i:]:
+            g = [0] * r
+            t = 0
+            for _ in range(r - 1):
+                t = (t + u) % r
+                g[t] = f[t] + g[(t - u) % r]
+            f = g
+            row.append(row[-1] + f[r - u])
+        rows.append(tuple(row))
+    return rows
+
+
+def check_rows(r, m):
+    expected = reference_rows(r, m)
+    n = len(m)
+    assert _count_rows(r, m, range(1, n + 1)) == expected, (r, m)
+    # any subset of sources, in any order, as the row pool hands them out
+    picked = list(range(n, 0, -2))
+    assert _count_rows(r, m, picked) == [expected[i - 1] for i in picked], (r, m)
+
+
+def test_count_rows_repeated_shifts_match_reference():
+    # a repeated unit advances with stride 1, a bare prefix sum
+    for r, m in [(7, (1,) * 6), (12, (5, 5, 5, 7, 7, 1)), (9, (2, 2, 4, 4, 2, 2, 2))]:
+        check_rows(r, m)
+
+
+def test_count_rows_distinct_shifts_match_reference():
+    rng = random.Random(22)
+    for r, m in [(13, (1, 2, 3, 4, 5, 6, 7)), (12, (1, 5, 7, 11, 5, 1))]:
+        check_rows(r, m)
+    for _ in range(8):
+        p = random_params(rng, r_max=60, n_max=7)
+        check_rows(p.r, p.m)
+
+
+def test_count_rows_typecode_boundaries_match_reference():
+    # gather indexes are one byte up to r = 256 and two up to r = 65536
+    for r in (255, 256, 257, 65535, 65536, 65537):
+        us = units_of(r) if r < 1000 else [u for u in (3, 5, 7, 11, 13) if math.gcd(u, r) == 1]
+        check_rows(r, tuple(us[:3]))
+
+
+def test_count_rows_one_and_two_columns_match_reference():
+    for r in (3, 4, 10):
+        for m in [(r - 1,), (1, r - 1), (r - 1, r - 1)]:
+            check_rows(r, m)
+    assert _count_rows(5, (2,), (1,)) == [(1,)]
+    assert _count_rows(5, (2, 3), (1, 2)) == [(1, 5), (1,)]
 
 
 def test_count_matrix_frozen_examples():
@@ -117,9 +179,9 @@ def test_count_matrix_submatrix_consistency():
 
 
 def test_count_matrix_parallel_matches_serial(monkeypatch):
-    # r * n^2 = 2003 * 48^2 is above the row pool's gate
-    rng = random.Random(2003)
-    p = LensParams(2003, tuple(rng.choice(units_of(2003)) for _ in range(48)))
+    # r * n^2 = 3001 * 64^2 is above the row pool's gate
+    rng = random.Random(3001)
+    p = LensParams(3001, tuple(rng.choice(units_of(3001)) for _ in range(64)))
     assert p.r * p.n**2 >= qlens.pathmatrix.POOL_MIN_ROW_STEPS
     started = []
 
@@ -144,6 +206,35 @@ def test_one_row_starts_no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
     assert count_matrix(LensParams(7, (3,)), jobs=2).entries == ((1,),)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_row_pool_with_more_jobs_than_rows_matches_serial(monkeypatch, n):
+    # min(jobs, n) row groups: two workers at n = 2, none at n = 1
+    monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
+    p = LensParams(11, (3, 7)[:n])
+    assert count_matrix(p, jobs=3).entries == tuple(
+        (0,) * i + row for i, row in enumerate(reference_rows(11, p.m))
+    )
+
+
+def test_count_matrix_refuses_past_the_row_step_bound_before_any_state(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a row state was built")
+
+    monkeypatch.setattr(qlens.pathmatrix, "_count_rows", refuse)
+    start = time.perf_counter()
+    assert main(["matrix", "--r", "1000000000", "--m", "1"]) == 3
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: matrix needs over 100000000 row steps (r * n^2)\n"
+    # the bound itself is allowed, one step past it is not
+    monkeypatch.undo()
+    monkeypatch.setattr(qlens.pathmatrix, "MATRIX_MAX_ROW_STEPS", 7 * 3**2)
+    assert count_matrix(LensParams(7, (1, 2, 3))).entry(1, 3) == 28
+    with pytest.raises(BudgetExceededError):
+        count_matrix(LensParams(8, (1, 3, 5)))
 
 
 def test_closed_form_examples():
