@@ -37,10 +37,10 @@ __all__ = [
 # (1009, 32), (1511, 40), (2003, 48) and (3001, 56), 9.4 * 10^6 steps, and
 # won in median at (3001, 64) and (12007, 32), 1.23 * 10^7 steps.
 POOL_MIN_ROW_STEPS = 12_000_000
-# Most row steps (r * n^2) count_matrix takes on. At it, on 2 CPUs under ulimit
-# -v 1500000, n = 2 (r = 2.5 * 10^7) took 1.3 s and 972 MB peak RSS, n = 3 up to
-# 7.8 s and 1,079 MB, n = 8 (r = 1.6 * 10^6) 16.5 s and 219 MB, n = 64 5.0 s and
-# 26 MB; at twice it, n = 2 ran out of memory.
+# Most row steps (r * n^2) count_matrix takes on. At it, on 2 CPUs under
+# `ulimit -v 1500000`, n = 2 (r = 2.5 * 10^7) took 1.3 s and 972 MB peak RSS,
+# n = 3 up to 7.8 s and 1,079 MB, n = 8 (r = 1.6 * 10^6) 16.5 s and 219 MB,
+# n = 64 5.0 s and 26 MB; at twice it, n = 2 ran out of memory.
 MATRIX_MAX_ROW_STEPS = 10**8
 # Indexes of the gathers one _normalized_walk keeps, 8 bytes each. This holds
 # every gather at r = 35, 55 and 211 (phi(r) * r <= 44,310). A table of all
@@ -100,8 +100,7 @@ class PathMatrix:
 
 
 def _count_rows(r: int, m: tuple[int, ...], rows) -> list[tuple[int, ...]]:
-    """Entries (i, i..n) of the path-count matrix for each 1-based source i
-    in rows.
+    """Entries (i, i..n) of the path-count matrix for each source i in rows.
 
     f[t] counts column-0-avoiding walks from (i, 0) to the current
     subgraph's column t, 1 off column 0 at the start. The next unit u takes
@@ -110,10 +109,11 @@ def _count_rows(r: int, m: tuple[int, ...], rows) -> list[tuple[int, ...]]:
     the last prefix sum. As in _normalized_walk, a state is kept in the
     cycle frame of its last unit f, s[k] = g[k*f mod r], so advancing by u
     is one gather with stride u * f^-1 mod r and one accumulate, both in C.
-    The start state reads the same in every frame and a repeated unit has
-    stride 1, so those advances are a bare accumulate. Each stride's
-    indexes are built once per call for all its rows, in an array of the
-    narrowest type that holds r - 1 (2 bytes an index up to r = 65536).
+    The start state reads the same in every frame, so a row's first unit is
+    paired with itself: that advance, like a repeated unit's, has stride 1
+    and is a bare accumulate, and the start state is never built as a list.
+    Each stride's indexes are built once per call for all its rows, in an
+    array of the narrowest type that holds r - 1 (2 bytes up to r = 65536).
     """
     typecode = next(t for t in "BHIQ" if r <= 1 << 8 * array(t).itemsize)
     gathers: dict[int, array] = {}
@@ -152,11 +152,11 @@ def _normalized_walk(
 
     Every state at a node was last advanced by the node's last shift f,
     and a fresh row's start state reads the same in any order, so each
-    state is kept in the f-cycle frame s[k] = g[k*f mod r]: the prefix sums
-    of the recurrence in _count_rows, in the order they are taken.
-    Advancing by u is then a gather of s with stride w = u * f^-1 mod r
-    followed by a prefix sum, which yields the new state in the u-cycle
-    frame. The rows of a node share that frame, so they are packed into one list of r ints,
+    state is kept in the f-cycle frame s[k] = g[k*f mod r], the order in
+    which _count_rows takes its prefix sums. Advancing by u is then a
+    gather of s with stride w = u * f^-1 mod r followed by a prefix sum,
+    which yields the new state in the u-cycle frame. The rows of a node
+    share that frame, so they are packed into one list of r ints,
     packed[k] = sum_i s_i[k] << (i * width), width = n * r.bit_length():
     one gather and one accumulate (both in C) advance every row, the new
     row enters as the start state shifted into its slot, one sum(packed)

@@ -229,7 +229,7 @@ def test_count_matrix_refuses_past_the_row_step_bound_before_any_state(capsys, m
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: matrix needs over 100000000 row steps (r * n^2)\n"
-    # the bound itself is allowed, one step past it is not
+    # r * n^2 at the bound is allowed (63), past it is not (72)
     monkeypatch.undo()
     monkeypatch.setattr(qlens.pathmatrix, "MATRIX_MAX_ROW_STEPS", 7 * 3**2)
     assert count_matrix(LensParams(7, (1, 2, 3))).entry(1, 3) == 28
