@@ -289,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="worker processes (default: QLENS_JOBS or the CPU count), started only"
-            f" by matrix and equiv at r*n^2 >= {POOL_MIN_ROW_STEPS}, at most one per"
-            f" row, and by classes and verify at >= {POOL_MIN_RECORDS} distinct matrices"
+            f" by matrix and equiv at r*n*(rows computed) >= {POOL_MIN_ROW_STEPS}, one per"
+            f" row at most, and by classes and verify at >= {POOL_MIN_RECORDS} distinct matrices"
             " in more than one signature bucket, at most one per bucket; phitilde"
             " ignores it",
         )

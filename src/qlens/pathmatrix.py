@@ -32,11 +32,11 @@ __all__ = [
     "normalize",
 ]
 
-# Fewest row steps (r * n^2) for which the row pool of count_matrix pays.
-# On 2 CPUs (7 alternating runs, jobs=2 against serial) the pool lost at
-# (1009, 32), (1511, 40), (2003, 48) and (3001, 56), 9.4 * 10^6 steps, and
-# won in median at (3001, 64) and (12007, 32), 1.23 * 10^7 steps.
-POOL_MIN_ROW_STEPS = 12_000_000
+# Fewest row steps computed (r * n * top) for which count_matrix's row pool
+# pays. On 2 CPUs (7 alternating runs, jobs=2 against serial, top = n - 2) it
+# lost at (1009, 32), (1511, 40), (2003, 48), (5003, 32) and (3001, 56),
+# 9.1 * 10^6 steps, and won in median at (3001, 64) and (12007, 32), 1.15 * 10^7.
+POOL_MIN_ROW_STEPS = 10**7
 # Most row steps (r * n^2) count_matrix takes on. At it, on 2 CPUs under
 # `ulimit -v 1500000`, n = 2 (r = 2.5 * 10^7) took 1.3 s and 972 MB peak RSS,
 # n = 3 up to 7.8 s and 1,079 MB, n = 8 (r = 1.6 * 10^6) 16.5 s and 219 MB,
@@ -171,8 +171,8 @@ def _normalized_walk(
 
     Gathers are cached per walk up to GATHER_CACHE_INDEXES indexes and
     built for each use past that, so the walk's extra memory does not grow
-    with r. _count_rows takes the same steps one row at a time, as the rows
-    of a matrix share no prefix, with gathers shared by all its rows.
+    with r. _count_rows takes the same steps one row at a time, for the rows
+    count_matrix cannot copy from an earlier row, sharing gathers among them.
     """
     _check_rn(r, n)
     if n <= 2:
@@ -252,22 +252,47 @@ def _pool_map(fn, items, jobs: int | None, pays: bool) -> list:
         raise BudgetExceededError(f"a worker process died or could not start: {exc}") from None
 
 
-def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
-    """Path-count matrix of (r; m) in O(n^2 * r) time.
+def _repeated_tail(ratios: tuple[int, ...], n: int) -> tuple[int, int]:
+    """Smallest top, and a shift p that reaches it, with ratios[i:] ==
+    ratios[i - p : n - 2 - p] for every i >= top; (n, 1) for n <= 2. Z[p] of
+    the reversed ratios is how many ratios before n - 2 and before n - 2 - p
+    agree, so top is the least max(p, n - 2 - Z[p]), found in O(n)."""
+    size = n - 2
+    s = ratios[::-1]
+    z = [0] * (size + 1)
+    left = right = 0
+    for k in range(1, size):
+        z[k] = max(0, min(right - k, z[k - left]))
+        while k + z[k] < size and s[z[k]] == s[k + z[k]]:
+            z[k] += 1
+        if k + z[k] > right:
+            left, right = k, k + z[k]
+    return min(((max(p, size - z[p]), p) for p in range(1, size + 1)), default=(n, 1))
 
-    Past MATRIX_MAX_ROW_STEPS row steps (r * n^2) it refuses before any
-    state is built. With jobs > 1 and at least POOL_MIN_ROW_STEPS row steps,
-    the rows are computed in min(jobs, n) interleaved groups in a pool;
-    assembly order is fixed, so the result is identical either way.
+
+def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
+    """Path-count matrix of (r; m) in O(top * n * r) time.
+
+    Row i (0-based) depends on ratios[i:] alone, ratios[t] = m[t+2] / m[t+1]
+    mod r, as its first step has stride 1 whatever m[i+1] is. So each row i
+    from top on is row i - p cut short (_repeated_tail gives both), and only
+    rows 0..top-1 are computed: with jobs > 1 and r * n * top at least
+    POOL_MIN_ROW_STEPS, in min(jobs, top) interleaved groups in a pool.
+    Assembly order is fixed, so the result is identical either way. Past
+    MATRIX_MAX_ROW_STEPS (r * n^2) it refuses before building any state.
     """
     r, m, n = params.r, params.m, params.n
     if r * n * n > MATRIX_MAX_ROW_STEPS:
         raise BudgetExceededError(f"matrix needs over {MATRIX_MAX_ROW_STEPS} row steps (r * n^2)")
-    k = min(jobs or 1, n) if r * n * n >= POOL_MIN_ROW_STEPS else 1
-    groups = [range(j + 1, n + 1, k) for j in range(k)]
+    ratios = tuple(u * mod_inverse(f, r) % r for f, u in zip(m[1:], m[2:]))
+    top, p = _repeated_tail(ratios, n)
+    k = min(jobs or 1, top) if r * n * top >= POOL_MIN_ROW_STEPS else 1
+    groups = [range(j + 1, top + 1, k) for j in range(k)]
     rows = _pool_map(partial(_count_rows, r, m), groups, jobs, k > 1)
-    entries = tuple((0,) * i + rows[i % k][i // k] for i in range(n))
-    return PathMatrix(r, m, entries)
+    full = [rows[i % k][i // k] for i in range(top)]
+    for i in range(top, n):
+        full.append(full[i - p][: n - i])
+    return PathMatrix(r, m, tuple((0,) * i + row for i, row in enumerate(full)))
 
 
 def closed_form_all_ones(r: int, n: int) -> PathMatrix:

@@ -529,9 +529,10 @@ def test_pool_width_capped_at_work(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
     assert partition_classes(5, 7, jobs=10**6) == partition_classes(5, 7)
-    params = LensParams(7, (1, 2, 3))
+    # ratios (5, 4, 2) repeat no tail, so top = n - 2 = 3 rows are computed
+    params = LensParams(7, (1, 2, 3, 5, 3))
     assert count_matrix(params, jobs=10**6) == count_matrix(params)
-    # (5, 7) has 16 signature buckets; the matrix has 3 rows
+    # (5, 7) has 16 signature buckets; the matrix computes 3 rows
     assert pools == [[16, 16], [3, 3]]
 
 
@@ -552,7 +553,8 @@ def test_dead_worker_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
     monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
-    code, out, err = run(capsys, "matrix", "--r", "7", "--m", "1,2,3", "--jobs", "2")
+    # a vector with no repeated ratio tail, so more than one row is computed
+    code, out, err = run(capsys, "matrix", "--r", "7", "--m", "1,2,3,5,3", "--jobs", "2")
     assert code == 3
     assert out == ""
     assert err == "error: a worker process died or could not start: a worker was killed\n"

@@ -23,6 +23,7 @@ from qlens.lensgraph import LensParams, build_graph, enumerate_legal_paths, scal
 from qlens.pathmatrix import (
     PathMatrix,
     _count_rows,
+    _repeated_tail,
     closed_form_all_ones,
     count_matrix,
     normalize,
@@ -98,6 +99,80 @@ def test_count_rows_one_and_two_columns_match_reference():
             check_rows(r, m)
     assert _count_rows(5, (2,), (1,)) == [(1,)]
     assert _count_rows(5, (2, 3), (1, 2)) == [(1, 5), (1,)]
+
+
+def shared_row_cases(rng):
+    """Vectors whose rows repeat in every way count_matrix can copy them."""
+    r = 13
+    us = units_of(r)
+    cases = [(r, (1,) * 9), (r, tuple(4 * pow(6, k, r) % r for k in range(10)))]
+    for period in (2, 3, 4):
+        steps = [rng.choice(us) for _ in range(period)]
+        m = [1]
+        while len(m) < 11:
+            m.append(m[-1] * steps[len(m) % period] % r)
+        cases.append((r, tuple(m)))
+        head = [rng.choice(us) for _ in range(4)]
+        cases.append((r, tuple(head + [head[-1] * v % r for v in m[1:8]])))
+    # m = k! mod r has ratios 3, 4, .., 8: no tail repeats
+    cases.append((r, tuple(math.prod(range(2, k + 1)) % r for k in range(1, 9))))
+    cases += [(r, (5,)), (r, (5, 2)), (r, (5, 2, 7)), (30, (1, 7, 11, 7, 11, 7))]
+    return cases
+
+
+def test_count_matrix_shared_rows_match_reference():
+    for r, m in shared_row_cases(random.Random(23)):
+        expected = tuple((0,) * i + row for i, row in enumerate(reference_rows(r, m)))
+        assert count_matrix(LensParams(r, m)).entries == expected, (r, m)
+
+
+def brute_repeated_tail(ratios, n):
+    size = n - 2
+    if size < 1:
+        return n
+    return min(
+        top
+        for top in range(size + 1)
+        for p in range(1, top + 1)
+        if all(ratios[i:] == ratios[i - p : size - p] for i in range(top, size + 1))
+    )
+
+
+def test_repeated_tail_matches_brute_force():
+    rng = random.Random(2023)
+    for _ in range(400):
+        n = rng.randrange(0, 13)
+        ratios = tuple(rng.randrange(rng.randrange(1, 4)) for _ in range(max(n - 2, 0)))
+        top, p = _repeated_tail(ratios, n)
+        assert top == brute_repeated_tail(ratios, n), (ratios, n)
+        if n >= 3:
+            assert 1 <= p <= top <= n - 2
+            assert ratios[top:] == ratios[top - p : n - 2 - p]
+        else:
+            assert (top, p) == (n, 1)
+
+
+def test_all_ones_matrix_computes_one_row(capsys, monkeypatch):
+    # Every row of the all-ones vector is a prefix of row 1.
+    calls = []
+    count_rows = qlens.pathmatrix._count_rows
+
+    def spy(r, m, rows):
+        calls.append(list(rows))
+        return count_rows(r, m, rows)
+
+    monkeypatch.setattr(qlens.pathmatrix, "_count_rows", spy)
+    assert main(["matrix", "--r", "10007", "--m", ",".join(["1"] * 64), "--format", "json"]) == 0
+    assert calls == [[1]]
+    assert capsys.readouterr().out == closed_form_all_ones(10007, 64).to_json() + "\n"
+
+
+def test_shared_rows_in_pool_match_serial(monkeypatch):
+    # jobs=3 with the gate forced to 0: each computed row group goes to a worker
+    serial = [count_matrix(LensParams(r, m)) for r, m in shared_row_cases(random.Random(29))]
+    monkeypatch.setattr(qlens.pathmatrix, "POOL_MIN_ROW_STEPS", 0)
+    pooled = [count_matrix(LensParams(r, m), jobs=3) for r, m in shared_row_cases(random.Random(29))]
+    assert pooled == serial
 
 
 def test_count_matrix_frozen_examples():
@@ -178,11 +253,17 @@ def test_count_matrix_submatrix_consistency():
                 assert mat.entry(a, b) == sub.entry(a - i + 1, b - i + 1)
 
 
+def ratios_of(p):
+    return tuple(u * pow(f, -1, p.r) % p.r for f, u in zip(p.m[1:], p.m[2:]))
+
+
 def test_count_matrix_parallel_matches_serial(monkeypatch):
-    # r * n^2 = 3001 * 64^2 is above the row pool's gate
+    # r * n * top = 3001 * 64 * 61 (the last two ratios agree) is above the
+    # row pool's gate
     rng = random.Random(3001)
     p = LensParams(3001, tuple(rng.choice(units_of(3001)) for _ in range(64)))
-    assert p.r * p.n**2 >= qlens.pathmatrix.POOL_MIN_ROW_STEPS
+    top, _ = _repeated_tail(ratios_of(p), p.n)
+    assert p.r * p.n * top >= qlens.pathmatrix.POOL_MIN_ROW_STEPS
     started = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
