@@ -27,8 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolationError
 from .equivalence import (
@@ -61,8 +60,7 @@ DEFAULT_VECTOR_BUDGET = 10**7
 POOL_MIN_RECORDS = 200
 
 
-@dataclass(frozen=True)
-class MatrixRecord:
+class MatrixRecord(NamedTuple):
     """One distinct matrix (its m is the smallest producing vector), its
     signature, and how many normalized vectors produce it."""
 
@@ -72,8 +70,7 @@ class MatrixRecord:
     vector_count: int
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     representative_m: tuple[int, ...]
     size: int
     size_matrices: int
@@ -81,8 +78,7 @@ class ClassRecord:
     matrix_digest: str
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(NamedTuple):
     r: int
     n: int
     phi: int
@@ -90,11 +86,11 @@ class ClassPartition:
     classes: tuple[ClassRecord, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        classes = [{**c._asdict(), "signature": c.signature._asdict()} for c in self.classes]
+        return json.dumps({**self._asdict(), "classes": classes})
 
 
-@dataclass(frozen=True)
-class NotFoundBelow:
+class NotFoundBelow(NamedTuple):
     """phitilde_search outcome when no dimension up to n_max splits."""
 
     n_max: int
@@ -280,8 +276,7 @@ def phitilde_search(
     return NotFoundBelow(n_max)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Verdicts of the three experimental conjecture checks.
 
     A None verdict means the check is not claimed for this r (the

@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, fields
 
 from .classify import (
     DEFAULT_VECTOR_BUDGET,
@@ -99,8 +98,9 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     b = count_matrix(LensParams(args.r, _parse_ints(args.m2, "m vector")), jobs=args.jobs)
     decision = decide_equiv(a, b)
     if args.format == "json":
-        payload = asdict(decision)
+        payload = decision._asdict()
         payload["witness"] = decision.witness._decimal() if decision.witness else None
+        payload["obstruction"] = decision.obstruction._asdict() if decision.obstruction else None
         _emit(json.dumps(payload, separators=(",", ":")), args.output)
     else:
         lines = ["Equivalent" if decision.equivalent else "NotEquivalent"]
@@ -120,7 +120,7 @@ def cmd_classes(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(field.name for field in fields(ClassRecord))
+        writer.writerow(ClassRecord._fields)
         for cls in part.classes:
             writer.writerow(
                 [
@@ -257,7 +257,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
     all_passed = all(report.passed for report in reports)
     if args.format == "json":
-        payload = [asdict(report) for report in reports]
+        payload = [report._asdict() for report in reports]
         _emit(json.dumps(payload, separators=(",", ":")), args.output)
     else:
         lines = []

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from operator import index, mul
 from typing import NamedTuple
 
@@ -60,8 +59,7 @@ __all__ = [
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Unipotent upper-triangular U, V with U(A-I) = (B-I)V."""
 
     U: IntMatrix
@@ -75,8 +73,7 @@ class Witness:
         return json.dumps(self._decimal())
 
 
-@dataclass(frozen=True)
-class CornerObstruction:
+class CornerObstruction(NamedTuple):
     """Certificate that the corner entries differ modulo k while every
     other strictly-upper entry of both matrices is divisible by k."""
 
@@ -93,8 +90,7 @@ class CornerObstruction:
         )
 
 
-@dataclass(frozen=True)
-class EquivDecision:
+class EquivDecision(NamedTuple):
     """Outcome of decide_equiv; the solver is complete, so there is no
     undecided state."""
 

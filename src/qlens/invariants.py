@@ -8,8 +8,8 @@ constraints that force the shape of every path matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .errors import HypothesisUnmetError, InvalidParamsError, InvariantViolationError
 from .lensgraph import LensParams, _check_rn
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Windowed unit products modulo each odd prime divisor of r.
 
     For each prime p (increasing) the window tuple holds
@@ -58,16 +57,14 @@ def signature(params: LensParams) -> Signature:
     return Signature(primes, window_products(primes, params.m))
 
 
-@dataclass(frozen=True)
-class DivisibilityCheck:
+class DivisibilityCheck(NamedTuple):
     law: str
     position: tuple[int, int]
     required: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     r: int
     m: tuple[int, ...]
     checks: tuple[DivisibilityCheck, ...]

@@ -16,9 +16,8 @@ the oracle that the dynamic program in pathmatrix is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import index
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import (
     BadModulusError,
@@ -47,28 +46,35 @@ GraphKind = Literal["M", "N"]
 DEFAULT_PATH_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class LensParams:
-    """Modulus r > 2 and a vector m of units modulo r.
-
-    Entries of m may be any integers, not floats or strings; they are reduced
-    into [0, r-1] on construction and must then be coprime to r.
-    """
-
+class _LensParamsFields(NamedTuple):
     r: int
     m: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r <= 2:
-            raise BadModulusError(f"modulus r must be an integer > 2, got {self.r!r}")
-        if not self.m:
+
+class LensParams(_LensParamsFields):
+    """Modulus r > 2 and a vector m of units modulo r.
+
+    Entries of m may be any integers, not floats or strings; they are reduced
+    into [0, r-1] and must be coprime to r, through _make and _replace too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, m: tuple[int, ...]) -> LensParams:
+        if not isinstance(r, int) or r <= 2:
+            raise BadModulusError(f"modulus r must be an integer > 2, got {r!r}")
+        if not m:
             raise InvalidParamsError("m must contain at least one entry")
-        for idx, value in enumerate(self.m, start=1):
+        for idx, value in enumerate(m, start=1):
             if not hasattr(type(value), "__index__"):
                 raise InvalidParamsError(f"m_{idx} = {value!r} is not an integer")
-            if math.gcd(value, self.r) != 1:
-                raise NonUnitError(f"m_{idx} = {value} is not a unit modulo {self.r}")
-        object.__setattr__(self, "m", tuple(index(v) % self.r for v in self.m))
+            if math.gcd(value, r) != 1:
+                raise NonUnitError(f"m_{idx} = {value} is not a unit modulo {r}")
+        return super().__new__(cls, r, tuple(index(v) % r for v in m))
+
+    @classmethod
+    def _make(cls, iterable) -> LensParams:
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -99,8 +105,7 @@ def scale(params: LensParams, b: int) -> LensParams:
     return LensParams(params.r, tuple((b * v) % params.r for v in params.m))
 
 
-@dataclass(frozen=True)
-class LensGraph:
+class LensGraph(NamedTuple):
     """Immutable adjacency view of one M-kind or N-kind graph."""
 
     kind: GraphKind

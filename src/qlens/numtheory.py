@@ -7,7 +7,7 @@ arbitrary precision; nothing here ever overflows or rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadModulusError, NonUnitError, NotPrimeError
 
@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization r = 2^two_exponent * prod(p^a for p, a in odd_primes).
 
     odd_primes is sorted by increasing prime, so odd_primes[0][0] is the

@@ -14,11 +14,10 @@ import io
 import math
 import json
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceededError, DimensionMismatchError, IndexOutOfRangeError, NonIntegerResultError
 from .lensgraph import LensParams, _check_rn, _units, scale
@@ -53,22 +52,28 @@ GATHER_CACHE_INDEXES = 2**16
 WALK_COUNT_CAP = 10**4300
 
 
-@dataclass(frozen=True)
-class PathMatrix:
-    """Upper-triangular integer matrix with its originating parameters."""
-
+class _PathMatrixFields(NamedTuple):
     r: int
     m: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+
+class PathMatrix(_PathMatrixFields):
+    """Upper-triangular integer matrix with its parameters, checked by _make too."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, m: tuple[int, ...], entries: tuple[tuple[int, ...], ...]) -> PathMatrix:
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise DimensionMismatchError("entries must form a square matrix")
-        if len(self.m) != n:
-            raise DimensionMismatchError(
-                f"m has {len(self.m)} entries but the matrix is {n}x{n}"
-            )
+        if len(m) != n:
+            raise DimensionMismatchError(f"m has {len(m)} entries but the matrix is {n}x{n}")
+        return super().__new__(cls, r, m, entries)
+
+    @classmethod
+    def _make(cls, iterable) -> PathMatrix:
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -112,7 +117,8 @@ def _count_rows(r: int, m: tuple[int, ...], rows) -> list[tuple[int, ...]]:
     The start state reads the same in every frame, so a row's first unit is
     paired with itself: that advance, like a repeated unit's, has stride 1
     and is a bare accumulate, and the start state is never built as a list.
-    Each stride's indexes are built once per call for all its rows, in an
+    A row's last step is never taken: a gather permutes, so the entry adds the
+    state's sum. Stride indexes are built once per call for all rows, in an
     array of the narrowest type that holds r - 1 (2 bytes up to r = 65536).
     """
     typecode = next(t for t in "BHIQ" if r <= 1 << 8 * array(t).itemsize)
@@ -120,7 +126,7 @@ def _count_rows(r: int, m: tuple[int, ...], rows) -> list[tuple[int, ...]]:
     out = []
     for i in rows:
         row, state = [1], chain((0,), repeat(1, r - 1))
-        for f, u in zip(m[i : i + 1] + m[i:], m[i:]):
+        for f, u in zip(m[i : i + 1] + m[i:], m[i:-1]):
             if u != f:
                 w = u * mod_inverse(f, r) % r
                 idx = gathers.get(w)
@@ -129,6 +135,8 @@ def _count_rows(r: int, m: tuple[int, ...], rows) -> list[tuple[int, ...]]:
                 state = map(state.__getitem__, idx)
             state = list(accumulate(state))
             row.append(row[-1] + state[-1])
+        if i < len(m):
+            row.append(row[-1] + sum(state))
         out.append(tuple(row))
     return out
 

@@ -4,11 +4,11 @@ import concurrent.futures
 import itertools
 import json
 import math
+import pickle
 import random
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 
@@ -39,8 +39,9 @@ from qlens.equivalence import (
     unipotent_inverse,
     verify_witness,
 )
-from qlens.invariants import lower_bound_classes, phitilde_formula, signature
-from qlens.lensgraph import LensParams
+from qlens.invariants import check_divisibility, lower_bound_classes, phitilde_formula, signature
+from qlens.lensgraph import LensParams, build_graph
+from qlens.numtheory import factorize
 from qlens.pathmatrix import _normalized_walk, count_matrix
 
 
@@ -291,6 +292,50 @@ def test_partition_parallel_deterministic(monkeypatch):
     assert parallel.to_json() == again.to_json()
 
 
+def _one_of_each_record():
+    """One instance of each of the 15 record types, keyed by type name."""
+    one = count_matrix(LensParams(5, (1, 1, 1, 1)))
+    found = decide_equiv(one, count_matrix(LensParams(5, (1, 1, 2, 1))))
+    refuted = decide_equiv(
+        count_matrix(LensParams(15, (1, 1, 1, 1))), count_matrix(LensParams(15, (1, 2, 1, 1)))
+    )
+    report = check_divisibility(LensParams(12, (1, 5, 7, 11, 1, 5)))
+    part = partition_classes(5, 5)
+    records = [
+        factorize(360),
+        LensParams(7, (8, -1, 13)),  # m is reduced, and reduced again on unpickle
+        build_graph(LensParams(3, (1, 2)), "M"),
+        one,
+        signature(LensParams(15, (1, 2, 4, 7, 1))),
+        report.checks[0],
+        report,
+        found.witness,
+        refuted.obstruction,
+        found,
+        _build_records(5, 5, DEFAULT_VECTOR_BUDGET)[0],
+        part.classes[0],
+        part,
+        NotFoundBelow(3),
+        verify_conjectures(5, 5),
+    ]
+    return {type(record).__name__: record for record in records}
+
+
+@pytest.mark.parametrize("name", sorted(_one_of_each_record()))
+def test_pool_pickles_every_record(name):
+    # the bucket pool sends records to its workers, which may start by spawn
+    record = _one_of_each_record()[name]
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(record, protocol))
+        assert type(copy) is type(record)
+        assert copy == record
+        assert copy._asdict() == record._asdict()
+        if name != "LensGraph":  # its adjacency is a dict
+            assert hash(copy) == hash(record)
+    if name == "LensParams":
+        assert copy.m == (1, 6, 6) and copy == LensParams(7, (1, 6, 6))
+
+
 def test_partition_budget_error():
     with pytest.raises(BudgetExceededError):
         partition_classes(7, 8, budget=1000)
@@ -398,7 +443,7 @@ def test_verify_conjectures_json(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [report["n"] for report in payload] == [1, 2, 3, 4, 5]
-    assert payload[-1] == json.loads(json.dumps(asdict(verify_conjectures(5, 5))))
+    assert payload[-1] == json.loads(json.dumps(verify_conjectures(5, 5)._asdict()))
 
 
 def test_cross_bucket_check_fires(monkeypatch):

@@ -561,18 +561,29 @@ def test_dead_worker_exits_3(capsys, monkeypatch):
 
 
 def test_serial_commands_never_import_a_pool():
-    # Start-up cost: the pool modules load only when a pool starts.
+    # Start-up cost: the pool modules load only when a pool starts, and the
+    # records and their JSON and CSV writers load no dataclasses or inspect
+    # (checked against what the interpreter's site loaded before qlens).
     probe = (
-        "import sys, qlens.cli\n"
-        "code = qlens.cli.main(['phitilde', '--r', '35', '--format', 'json'])\n"
+        "import sys\n"
+        "preloaded = set(sys.modules)\n"
+        "import qlens.cli\n"
+        "codes = [qlens.cli.main(argv.split()) for argv in (\n"
+        "    'phitilde --r 35 --format json',\n"
+        "    'equiv --r 15 --m1 1,1,1,1 --m2 1,2,1,1 --format json',\n"
+        "    'equiv --r 5 --m1 1,1,1,1 --m2 1,1,2,1 --format json',\n"
+        "    'classes --r 5 --n 6 --format csv',\n"
+        "    'verify --suite conjectures --r 5 --n-max 5 --format json',\n"
+        ")]\n"
         "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
-        "print(code, loaded)\n"
+        "loaded += [m for m in ('dataclasses', 'inspect') if m in sys.modules.keys() - preloaded]\n"
+        "print(codes, loaded)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_source_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "[0, 1, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ def test_params_reduce_and_validate():
     assert p.m == (4, 3, 1)
     assert p.n == 3
     assert str(p) == "(5; (4, 3, 1))"
+    assert p._replace(m=(-1,)).m == LensParams._make((5, (9,))).m == (4,)
 
 
 def test_params_reject_bad_modulus():
@@ -60,6 +61,8 @@ def test_params_name_offending_entry():
     # the entry as given, not its residue
     with pytest.raises(NonUnitError, match=r"^m_2 = 12 is not a unit modulo 9$"):
         LensParams(9, (1, 12, 1))
+    with pytest.raises(NonUnitError, match=r"^m_2 = 12 is not a unit modulo 9$"):
+        LensParams(9, (1, 2, 1))._replace(m=(1, 12, 1))
 
 
 def test_scale_examples():

@@ -403,3 +403,5 @@ def test_pathmatrix_shape_validation():
         PathMatrix(5, (1, 1), ((1, 2), (0,)))
     with pytest.raises(DimensionMismatchError):
         PathMatrix(5, (1,), ((1, 2), (0, 1)))
+    with pytest.raises(DimensionMismatchError):
+        PathMatrix(5, (1,), ((1,),))._replace(m=(1, 1))
