@@ -12,14 +12,16 @@ verify_conjectures is a report over partition_classes: matrices are
 bucketed by signature (classes never span buckets), then each bucket is
 reduced, then joined. Every matrix A is brought to its distance-order
 normal form R = (A - I)Q, and its own certificate (I, Q) of A ~ R + I is
-checked, so matrices of one form are equivalent by transitivity. Only a matrix with a new form runs the
-representative-first union-find, joining the first class whose
-representative it is equivalent to; this is exact too, since
-representatives are pairwise non-equivalent by construction. A partition
-must meet the proven lower bound, and every pair of representatives of
-different buckets must carry a block certificate of non-equivalence; the
-solver is never asked across buckets. phitilde_search stops each walk at
-the second signature and block-certifies that pair.
+checked, so matrices of one form are equivalent by transitivity. Only a
+new form runs the representative-first union-find on forms, joining the
+first class whose representative's form it is equivalent to, by a solve
+that continues an elimination cached per representative; this is exact
+too, since representatives are pairwise non-equivalent by construction.
+A partition must meet the proven lower bound, and every pair of
+representatives of different buckets must carry a block certificate of
+non-equivalence; the solver is never asked across buckets.
+phitilde_search stops each walk at the second signature and
+block-certifies that pair.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import InvariantViolationError
 from .equivalence import (
     IntMatrix,
     block_obstruction,
-    decide_equiv,
     distance_normal_form,
+    _system_witness,
 )
 from .invariants import Signature, lower_bound_classes, window_products
 from .lensgraph import LensParams
@@ -149,14 +151,16 @@ def _classify_bucket(
     One pass in record order. Each record is brought to its distance-order
     normal form R = (A - I) Q, and the certificate (I, Q) of A ~ R + I is
     checked first; records of one form are thus equivalent by transitivity.
-    A record whose form was seen joins that form's class. A record with a
-    new form is solved against each class representative in turn and
-    joins the first equivalent one, or starts a class. A class's first
-    record is thus the first record of its form, as with the solver alone.
+    A record whose form was seen joins that form's class. A new form R + I
+    is solved against each class's representative form in turn, as one
+    more elimination on top of that form's cached ones (_system_witness,
+    its witness checked), and joins the first equivalent class, or starts
+    one. A class's first record is thus the first record of its form.
     With stop_after the walk ends as soon as that many classes exist, so
     the later groups are incomplete.
     """
     groups: list[list[int]] = []
+    joins: list[tuple[IntMatrix, dict]] = []  # each class's form R + I, join cache
     forms: dict[IntMatrix, list[int]] = {}
     for idx, rec in enumerate(records):
         nf = distance_normal_form(rec)
@@ -166,12 +170,14 @@ def _classify_bucket(
             )
         group = forms.get(nf.form)
         if group is None:
-            for group in groups:
-                if decide_equiv(records[group[0]], rec).equivalent:
+            b = tuple(tuple(v + (i == j) for j, v in enumerate(row)) for i, row in enumerate(nf.form))
+            for group, (a, cache) in zip(groups, joins):
+                if _system_witness(a, b, cache) is not None:
                     break
             else:
                 group = []
                 groups.append(group)
+                joins.append((b, {}))
             forms[nf.form] = group
         group.append(idx)
         if len(groups) == stop_after:
@@ -223,7 +229,7 @@ def partition_classes(
         shared: dict[Signature, list[MatrixRecord]] = {}
         for rec in records:
             shared.setdefault(rec.signature, []).append(rec)
-        buckets = [shared[sig] for sig in sorted(shared, key=Signature.as_tuple)]
+        buckets = [shared[sig] for sig in sorted(shared)]
     grouped = _pool_map(_classify_bucket, buckets, jobs, len(records) >= POOL_MIN_RECORDS)
     classes = sorted(
         (
@@ -231,7 +237,7 @@ def partition_classes(
             for bucket, groups in zip(buckets, grouped)
             for group in groups
         ),
-        key=lambda c: (c[0].signature.as_tuple(), c[0].m),
+        key=lambda c: (c[0].signature, c[0].m),
     )
     bound = lower_bound_classes(r, n)
     if len(classes) < bound:

@@ -127,7 +127,7 @@ def cmd_classes(args: argparse.Namespace) -> int:
                     ",".join(str(v) for v in cls.representative_m),
                     cls.size,
                     cls.size_matrices,
-                    json.dumps(cls.signature.as_tuple()),
+                    json.dumps(cls.signature),
                     cls.matrix_digest,
                 ]
             )

@@ -16,7 +16,9 @@ elimination with forward substitution; the column operations are logged
 and replayed in reverse on the pivot values to give the solution. Every
 verdict is exact: Equivalent comes with a witness checked as
 UA - U = BV - V and NotEquivalent with either a modular corner
-obstruction or infeasibility of the system.
+obstruction or infeasibility of the system. The classification joins
+solve the same system by the same elimination, continued from a pass
+over the columns that depend on A alone, cached per A.
 
 Two cheaper tools serve the classification pipeline: distance_normal_form,
 a reduction R = (A - I)Q by column operations alone, whose Q certifies
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, insort
 from operator import index, mul
 from typing import NamedTuple
 
@@ -131,17 +134,11 @@ def _as_pair(A, B) -> tuple[IntMatrix, IntMatrix]:
 
 
 def _require_unitriangular(entries: IntMatrix, name: str) -> None:
-    n = len(entries)
-    for i in range(n):
-        if entries[i][i] != 1:
-            raise InvalidParamsError(
-                f"{name} must have unit diagonal; entry ({i + 1}, {i + 1}) is {entries[i][i]}"
-            )
-        for j in range(i):
-            if entries[i][j] != 0:
-                raise InvalidParamsError(
-                    f"{name} must be upper triangular; entry ({i + 1}, {j + 1}) is {entries[i][j]}"
-                )
+    for i, row in enumerate(entries):
+        for j in (i, *range(i)):  # each row's diagonal entry first
+            if row[j] != (i == j):
+                shape = "have unit diagonal" if i == j else "be upper triangular"
+                raise InvalidParamsError(f"{name} must {shape}; entry ({i + 1}, {j + 1}) is {row[j]}")
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -182,7 +179,7 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
     return _solve_columns(columns, residual)
 
 
-def _solve_columns(columns: list[dict[int, int]], c: list[int]) -> tuple[int, ...] | None:
+def _solve_columns(columns: list[dict], c: list[int], start=None, log=None) -> tuple[int, ...] | None:
     """One integer solution of the system with these columns and right-hand
     side c, or None when infeasible; columns and c are consumed.
 
@@ -195,14 +192,22 @@ def _solve_columns(columns: list[dict[int, int]], c: list[int]) -> tuple[int, ..
     rows go by: a pivot that does not divide what is left of c, or a
     pivot-free row where that is nonzero, proves the system infeasible.
     The unimodular T with M*T in echelon form is never built: each column
-    operation (j, p, q), column j -= q * column p, is logged, and x = T*y
-    follows from the pivot values y by replaying the log in reverse.
+    operation (j, p, q), column j -= q * column p, is appended to log, and
+    x = T*y follows from the pivot values y by replaying the log in reverse.
+
+    A pass with c = 0 leaves only its pivots nonzero. A call given its
+    columns and log as start (its own columns empty where start's are not)
+    continues it: start's pivot of each row enters the unused columns as a
+    copy when that row comes, and start's log is replayed after its own.
     """
-    cols = len(columns)
-    free = list(range(cols))
-    y = [0] * cols
-    log: list[tuple[int, int, int]] = []
+    held = {min(col): j for j, col in enumerate(start[0]) if col} if start else {}
+    free = [j for j, col in enumerate(columns) if col]
+    y = [0] * len(columns)
+    log = [] if log is None else log
     for i in range(len(c)):
+        if i in held:
+            columns[held[i]] = dict(start[0][held[i]])
+            insort(free, held[i])
         live = [j for j in free if i in columns[j]]
         while len(live) > 1:
             p = min(live, key=lambda j: abs(columns[j][i]))
@@ -224,12 +229,13 @@ def _solve_columns(columns: list[dict[int, int]], c: list[int]) -> tuple[int, ..
             continue
         p = live[0]
         free.remove(p)
-        y[p], rem = divmod(c[i], columns[p][i])
-        if rem:
-            return None
-        for k, v in columns[p].items():
-            c[k] -= y[p] * v
-    for j, p, q in reversed(log):
+        if c[i]:
+            y[p], rem = divmod(c[i], columns[p][i])
+            if rem:
+                return None
+            for k, v in columns[p].items():
+                c[k] -= y[p] * v
+    for j, p, q in reversed(start[1] + log if start else log):
         y[p] -= q * y[j]
     return tuple(y)
 
@@ -392,22 +398,54 @@ def decide_equiv(A, B) -> EquivDecision:
     obstruction = _best_corner_obstruction(a, b)
     if obstruction is not None:
         return EquivDecision(False, obstruction.describe(), None, obstruction)
-    # sparse columns, U' then V': U'[i][k] enters equation (i, j) as
-    # a[k][j] for j > k, V'[k][j] enters it as -b[i][k] for i < k
-    positions = [(i, k) for i in range(n) for k in range(i + 1, n)]
-    eq = {pos: e for e, pos in enumerate(positions)}
-    columns = [{eq[i, j]: a[k][j] for j in range(k + 1, n) if a[k][j]} for i, k in positions]
-    columns += [{eq[i, j]: -b[i][k] for i in range(k) if b[i][k]} for k, j in positions]
-    x = _solve_columns(columns, [b[i][j] - a[i][j] for i, j in positions])
-    if x is None:
+    witness = _system_witness(a, b)
+    if witness is None:
         return EquivDecision(False, "Diophantine system infeasible")
+    return EquivDecision(True, "witness found", witness)
+
+
+# Sparse columns of the system: U'[i][k] enters equation (i, j) as a[k][j]
+# for j > k, V'[k][j] enters it as -b[i][k] for i < k.
+def _u_columns(a: IntMatrix, positions, eq) -> list[dict[int, int]]:
+    return [{eq[i, j]: a[k][j] for j in range(k + 1, len(a)) if a[k][j]} for i, k in positions]
+
+
+def _v_columns(b: IntMatrix, positions, eq) -> list[dict[int, int]]:
+    return [{eq[i, j]: -b[i][k] for i in range(k) if b[i][k]} for k, j in positions]
+
+
+def _system_witness(a: IntMatrix, b: IntMatrix, cache: dict | None = None) -> Witness | None:
+    """A checked witness of A ~ B from the system, or None when it has
+    none, for the entries a and b of unipotent upper-triangular matrices.
+
+    Without a cache (decide_equiv) every column enters one pass. A cache
+    belongs to a: with k0 the first column where b differs from a, every
+    column but V'[k][j] for k >= k0 is a's own. Those are eliminated once
+    per k0 and kept in cache, and the call continues that pass with b's;
+    the witness may then differ from decide_equiv's, the verdict cannot.
+    """
+    n = len(a)
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    eq = {pos: e for e, pos in enumerate(positions)}
+    c, rows = [b[i][j] - a[i][j] for i, j in positions], len(positions)
+    if cache is None:
+        x = _solve_columns(_u_columns(a, positions, eq) + _v_columns(b, positions, eq), c)
+    else:
+        k0 = next((k for k in range(n) if any(a[i][k] != b[i][k] for i in range(k))), n)
+        s = bisect_left(positions, (k0,))
+        if (start := cache.get(k0)) is None:
+            start = cache[k0] = (_u_columns(a, positions, eq) + _v_columns(a, positions[:s], eq), [])
+            _solve_columns(start[0], [0] * rows, log=start[1])
+        x = _solve_columns([{}] * (rows + s) + _v_columns(b, positions[s:], eq), c, start)
+    if x is None:
+        return None
     u, v = _identity(n), _identity(n)
-    for (i, k), u_ik, v_ik in zip(positions, x, x[len(positions):]):
+    for (i, k), u_ik, v_ik in zip(positions, x, x[rows:]):
         u[i][k], v[i][k] = u_ik, v_ik
     witness = Witness(tuple(map(tuple, u)), tuple(map(tuple, v)))
     if not _witness_holds(a, b, witness):
         raise InvariantViolationError("solver produced a witness that fails verification")
-    return EquivDecision(True, "witness found", witness)
+    return witness
 
 
 def verify_witness(A, B, witness: Witness) -> bool:

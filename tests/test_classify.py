@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 import qlens.classify
+import qlens.equivalence
 import qlens.pathmatrix
 from qlens.errors import (
     BadModulusError,
@@ -38,6 +39,7 @@ from qlens.equivalence import (
     distance_normal_form,
     unipotent_inverse,
     verify_witness,
+    _system_witness,
 )
 from qlens.invariants import check_divisibility, lower_bound_classes, phitilde_formula, signature
 from qlens.lensgraph import LensParams, build_graph
@@ -368,12 +370,12 @@ def _record_walks(monkeypatch):
             walked[n] += 1
             yield item
 
-    def recording(a, b):
-        solved.append(len(a.m))
-        return decide_equiv(a, b)
+    def recording(a, b, cache):
+        solved.append(len(a))
+        return _system_witness(a, b, cache)
 
     monkeypatch.setattr(qlens.classify, "_normalized_walk", walk)
-    monkeypatch.setattr(qlens.classify, "decide_equiv", recording)
+    monkeypatch.setattr(qlens.classify, "_system_witness", recording)
     return walked, solved
 
 
@@ -490,20 +492,98 @@ def test_cross_bucket_check_covers_non_adjacent_pairs(monkeypatch):
         verify_conjectures(12, 6)
 
 
+def _with_identity(form):
+    return tuple(tuple(v + (i == j) for j, v in enumerate(row)) for i, row in enumerate(form))
+
+
 def test_verify_conjectures_solves_each_pair_once(monkeypatch):
+    # the joins take forms R + I; each form's signature is its records'
+    signature_of = {
+        _with_identity(distance_normal_form(rec).form): rec.signature
+        for rec in _build_records(5, 6, DEFAULT_VECTOR_BUDGET)
+    }
     pairs = []
 
-    def recording(a, b):
-        pairs.append((frozenset((a.m, b.m)), a.signature == b.signature))
-        return decide_equiv(a, b)
+    def recording(a, b, cache):
+        pairs.append((frozenset((a, b)), signature_of[a] == signature_of[b]))
+        return _system_witness(a, b, cache)
 
-    monkeypatch.setattr(qlens.classify, "decide_equiv", recording)
+    monkeypatch.setattr(qlens.classify, "_system_witness", recording)
     report = verify_conjectures(5, 6)
     assert report.passed
     # 4 buckets: block certificates settle all 6 cross-bucket pairs
     assert report.buckets == 4
     assert all(same for _, same in pairs)
     assert len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("r, n", [(5, 8), (12, 7), (8, 7), (4, 8), (20, 6)])
+def test_join_verdicts_match_decide_equiv(r, n):
+    # up to 16 distinct forms, at least 3 from each bucket taken: same-bucket
+    # pairs of both verdicts, and cross-bucket pairs, whose first differing
+    # column k0 is small, so that almost every column is built from b
+    by_bucket = {}
+    for rec in _build_records(r, n, DEFAULT_VECTOR_BUDGET):
+        forms = by_bucket.setdefault(rec.signature, [])
+        if (form := _with_identity(distance_normal_form(rec).form)) not in forms:
+            forms.append(form)
+    per = max(3, 16 // len(by_bucket))
+    forms = [(sig, f) for sig, fs in by_bucket.items() for f in fs[:per]][:16]
+    verdicts = Counter()
+    for sig_a, a in forms:
+        cache = {}  # one per a, shared by its joins as in _classify_bucket
+        for sig_b, b in forms:
+            if a != b:
+                witness = _system_witness(a, b, cache)
+                equivalent = decide_equiv(a, b).equivalent
+                assert (witness is not None) == equivalent, (r, n, a, b)
+                assert witness is None or verify_witness(a, b, witness)
+                verdicts[sig_a == sig_b, equivalent] += 1
+    # a bucket holds more than one class only where 4 | r
+    assert verdicts[True, True] > 0
+    assert (verdicts[True, False] > 0) == (r % 4 == 0)
+    assert (verdicts[False, False] > 0) == (len(by_bucket) > 1)
+    assert not verdicts[False, True]
+
+
+def test_join_of_equal_forms_is_the_identity():
+    a = _with_identity(distance_normal_form(_build_records(12, 6, DEFAULT_VECTOR_BUDGET)[3]).form)
+    ident = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    assert _system_witness(a, a, {}) == Witness(ident, ident)
+
+
+def test_corrupted_join_witness_is_caught(monkeypatch, capsys):
+    # (12, 6): 64 matrices in one process, 48 joins that find a witness
+    real = qlens.equivalence._solve_columns
+
+    def moved(columns, c, start=None, log=None):
+        # a join's solution with U'[1][2] moved by 1; R[2][3] = r, so
+        # (I + U') R changes at (1, 3)
+        x = real(columns, c, start, log)
+        return x if x is None or start is None else (x[0] + 1, *x[1:])
+
+    monkeypatch.setattr(qlens.equivalence, "_solve_columns", moved)
+    with pytest.raises(InvariantViolationError, match="witness that fails verification"):
+        partition_classes(12, 6)
+    assert main(["classes", "--r", "12", "--n", "6"]) == 4
+    assert "fails verification" in capsys.readouterr().err
+
+
+def test_pool_joins_match_serial(monkeypatch):
+    # (20, 6): 416 matrices in 4 buckets, 24 joins that find a witness and
+    # 16 that prove none, each bucket's in one worker
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    serial = partition_classes(20, 6, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert partition_classes(20, 6, jobs=2).to_json() == serial.to_json()
+    assert started == [{"max_workers": 2}]
+    assert serial.phi == 8
 
 
 def _strict(entries):
