@@ -230,7 +230,7 @@ def partition_classes(
         for rec in records:
             shared.setdefault(rec.signature, []).append(rec)
         buckets = [shared[sig] for sig in sorted(shared)]
-    grouped = _pool_map(_classify_bucket, buckets, jobs, len(records) >= POOL_MIN_RECORDS)
+    grouped = _pool_map(_classify_bucket, buckets, jobs if len(records) >= POOL_MIN_RECORDS else 1)
     classes = sorted(
         (
             (bucket[group[0]], [bucket[i] for i in group])

@@ -16,9 +16,9 @@ elimination with forward substitution; the column operations are logged
 and replayed in reverse on the pivot values to give the solution. Every
 verdict is exact: Equivalent comes with a witness checked as
 UA - U = BV - V and NotEquivalent with either a modular corner
-obstruction or infeasibility of the system. The classification joins
-solve the same system by the same elimination, continued from a pass
-over the columns that depend on A alone, cached per A.
+obstruction or infeasibility of the system. The columns that depend on
+A alone are eliminated first, in a pass the classification joins cache
+per A; decide_equiv runs the same two steps from an empty cache.
 
 Two cheaper tools serve the classification pipeline: distance_normal_form,
 a reduction R = (A - I)Q by column operations alone, whose Q certifies
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, insort
 from operator import index, mul
 from typing import NamedTuple
 
@@ -179,9 +178,9 @@ def solve_diophantine(matrix, c) -> tuple[int, ...] | None:
     return _solve_columns(columns, residual)
 
 
-def _solve_columns(columns: list[dict], c: list[int], start=None, log=None) -> tuple[int, ...] | None:
+def _solve_columns(columns: list[dict], c: list[int], log=None) -> tuple[int, ...] | None:
     """One integer solution of the system with these columns and right-hand
-    side c, or None when infeasible; columns and c are consumed.
+    side c, or None when infeasible; columns, c and log are consumed.
 
     Column-echelon solve (Cohen, A Course in Computational Algebraic
     Number Theory, section 2.4) on sparse columns, each a {row: value}
@@ -195,19 +194,15 @@ def _solve_columns(columns: list[dict], c: list[int], start=None, log=None) -> t
     operation (j, p, q), column j -= q * column p, is appended to log, and
     x = T*y follows from the pivot values y by replaying the log in reverse.
 
-    A pass with c = 0 leaves only its pivots nonzero. A call given its
-    columns and log as start (its own columns empty where start's are not)
-    continues it: start's pivot of each row enters the unused columns as a
-    copy when that row comes, and start's log is replayed after its own.
+    A pass with c = 0 leaves only its pivots nonzero, none with an entry
+    above its own row, so a call given copies of its columns (more may
+    follow) and of its log continues it: each pivot stays untouched until
+    its row comes.
     """
-    held = {min(col): j for j, col in enumerate(start[0]) if col} if start else {}
     free = [j for j, col in enumerate(columns) if col]
     y = [0] * len(columns)
     log = [] if log is None else log
     for i in range(len(c)):
-        if i in held:
-            columns[held[i]] = dict(start[0][held[i]])
-            insort(free, held[i])
         live = [j for j in free if i in columns[j]]
         while len(live) > 1:
             p = min(live, key=lambda j: abs(columns[j][i]))
@@ -235,7 +230,7 @@ def _solve_columns(columns: list[dict], c: list[int], start=None, log=None) -> t
                 return None
             for k, v in columns[p].items():
                 c[k] -= y[p] * v
-    for j, p, q in reversed(start[1] + log if start else log):
+    for j, p, q in reversed(log):
         y[p] -= q * y[j]
     return tuple(y)
 
@@ -398,7 +393,7 @@ def decide_equiv(A, B) -> EquivDecision:
     obstruction = _best_corner_obstruction(a, b)
     if obstruction is not None:
         return EquivDecision(False, obstruction.describe(), None, obstruction)
-    witness = _system_witness(a, b)
+    witness = _system_witness(a, b, {})
     if witness is None:
         return EquivDecision(False, "Diophantine system infeasible")
     return EquivDecision(True, "witness found", witness)
@@ -414,29 +409,26 @@ def _v_columns(b: IntMatrix, positions, eq) -> list[dict[int, int]]:
     return [{eq[i, j]: -b[i][k] for i in range(k) if b[i][k]} for k, j in positions]
 
 
-def _system_witness(a: IntMatrix, b: IntMatrix, cache: dict | None = None) -> Witness | None:
+def _system_witness(a: IntMatrix, b: IntMatrix, cache: dict) -> Witness | None:
     """A checked witness of A ~ B from the system, or None when it has
     none, for the entries a and b of unipotent upper-triangular matrices.
 
-    Without a cache (decide_equiv) every column enters one pass. A cache
-    belongs to a: with k0 the first column where b differs from a, every
-    column but V'[k][j] for k >= k0 is a's own. Those are eliminated once
-    per k0 and kept in cache, and the call continues that pass with b's;
-    the witness may then differ from decide_equiv's, the verdict cannot.
+    With k0 the first column where b differs from a, every column but
+    V'[k][j] for k >= k0 is a's own. Those are eliminated with c = 0 once
+    per k0 and kept in cache, which belongs to a (decide_equiv passes an
+    empty one); each call solves copies of them, then b's columns.
     """
     n = len(a)
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     eq = {pos: e for e, pos in enumerate(positions)}
     c, rows = [b[i][j] - a[i][j] for i, j in positions], len(positions)
-    if cache is None:
-        x = _solve_columns(_u_columns(a, positions, eq) + _v_columns(b, positions, eq), c)
-    else:
-        k0 = next((k for k in range(n) if any(a[i][k] != b[i][k] for i in range(k))), n)
-        s = bisect_left(positions, (k0,))
-        if (start := cache.get(k0)) is None:
-            start = cache[k0] = (_u_columns(a, positions, eq) + _v_columns(a, positions[:s], eq), [])
-            _solve_columns(start[0], [0] * rows, log=start[1])
-        x = _solve_columns([{}] * (rows + s) + _v_columns(b, positions[s:], eq), c, start)
+    k0 = next((k for k in range(n) if any(a[i][k] != b[i][k] for i in range(k))), n)
+    s = sum(n - 1 - i for i in range(k0))  # positions (i, j) with i < k0
+    if k0 not in cache:
+        columns, log = cache[k0] = _u_columns(a, positions, eq) + _v_columns(a, positions[:s], eq), []
+        _solve_columns(columns, [0] * rows, log)
+    columns, log = cache[k0]
+    x = _solve_columns([dict(col) for col in columns] + _v_columns(b, positions[s:], eq), c, list(log))
     if x is None:
         return None
     u, v = _identity(n), _identity(n)

@@ -242,14 +242,14 @@ def _normalized_walk(
     return descend((1,), [(1,)], fresh[0])
 
 
-def _pool_map(fn, items, jobs: int | None, pays: bool) -> list:
+def _pool_map(fn, items, jobs: int | None) -> list:
     """[fn(item) for item in items], in a pool of at most one process per
-    item when pays and jobs and items are both at least 2. The pool, and
+    item when jobs and items are both at least 2. The pool, and
     concurrent.futures, are loaded only then. A worker that dies (killed
     for memory, say) or never starts breaks the pool: BudgetExceededError."""
     items = list(items)
     workers = min(jobs or 1, len(items))
-    if not pays or workers < 2:
+    if workers < 2:
         return [fn(item) for item in items]
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
@@ -296,7 +296,7 @@ def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
     top, p = _repeated_tail(ratios, n)
     k = min(jobs or 1, top) if r * n * top >= POOL_MIN_ROW_STEPS else 1
     groups = [range(j + 1, top + 1, k) for j in range(k)]
-    rows = _pool_map(partial(_count_rows, r, m), groups, jobs, k > 1)
+    rows = _pool_map(partial(_count_rows, r, m), groups, k)
     full = [rows[i % k][i // k] for i in range(top)]
     for i in range(top, n):
         full.append(full[i - p][: n - i])

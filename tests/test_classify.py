@@ -552,15 +552,42 @@ def test_join_of_equal_forms_is_the_identity():
     assert _system_witness(a, a, {}) == Witness(ident, ident)
 
 
+def test_one_elimination_order_and_an_intact_cache():
+    # decide_equiv is the join from an empty cache, on records as on the
+    # pinned r = 13 pair
+    records = [rec.entries for rec in _build_records(12, 6, DEFAULT_VECTOR_BUDGET)[:12]]
+    m1 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+    pinned = tuple(count_matrix(LensParams(13, m)).entries for m in (m1, (1, 5, *m1[2:])))
+    for a, b in [*itertools.product(records, repeat=2), pinned]:
+        assert decide_equiv(a, b).witness == _system_witness(a, b, {}), (a, b)
+    assert decide_equiv(*pinned).witness is not None
+    # a cache that has served other joins gives the witness a fresh one
+    # gives, and its passes are only copied
+    a, *forms = [
+        _with_identity(distance_normal_form(rec).form)
+        for rec in _build_records(12, 7, DEFAULT_VECTOR_BUDGET)
+    ]
+    cache, served = {}, Counter()
+    for b in forms:
+        kept = {k0: ([dict(col) for col in columns], list(log)) for k0, (columns, log) in cache.items()}
+        witness = _system_witness(a, b, cache)
+        assert witness == _system_witness(a, b, {}), b
+        assert {k0: cache[k0] for k0 in kept} == kept
+        served[len(cache) == len(kept), witness is not None] += 1
+    assert len(cache) > 1 and served[True, True] and served[True, False]
+
+
 def test_corrupted_join_witness_is_caught(monkeypatch, capsys):
     # (12, 6): 64 matrices in one process, 48 joins that find a witness
     real = qlens.equivalence._solve_columns
 
-    def moved(columns, c, start=None, log=None):
+    def moved(columns, c, log=None):
         # a join's solution with U'[1][2] moved by 1; R[2][3] = r, so
-        # (I + U') R changes at (1, 3)
-        x = real(columns, c, start, log)
-        return x if x is None or start is None else (x[0] + 1, *x[1:])
+        # (I + U') R changes at (1, 3). A join has a nonzero right-hand
+        # side, the cached pass a zero one; read it first, as c is consumed
+        join = any(c)
+        x = real(columns, c, log)
+        return x if x is None or not join else (x[0] + 1, *x[1:])
 
     monkeypatch.setattr(qlens.equivalence, "_solve_columns", moved)
     with pytest.raises(InvariantViolationError, match="witness that fails verification"):

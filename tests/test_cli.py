@@ -5,6 +5,8 @@ import hashlib
 import importlib
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -420,6 +422,33 @@ def test_output_digest_pinned(capsys, argv, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == ""
+
+
+def _readme_examples():
+    """(command line, stdout) for each `$ qlens ...` line of README's Examples block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [tuple(f"{chunk}\n".split("\n", 1)) for chunk in block.strip().split("\n\n")]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "line, expected", README_EXAMPLES, ids=[line.removeprefix("$ qlens ") for line, _ in README_EXAMPLES]
+)
+def test_readme_example(capsys, line, expected):
+    # the shell's `cmd | tail -N` keeps the last N lines, `cmd; echo $?` adds the exit code
+    shell = re.fullmatch(r"\$ qlens ([^|;]*?)(?: \| tail -(\d+))?(; echo \$\?)?", line)
+    command, tail, echo = shell.groups()
+    code, out, _ = run(capsys, *shlex.split(command))
+    if tail:
+        out = "".join(out.splitlines(keepends=True)[-int(tail):])
+    if echo:
+        out += f"{code}\n"
+    else:
+        assert code == 0
+    assert out == expected
 
 
 def test_jobs_env_override(capsys, monkeypatch):
