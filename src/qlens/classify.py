@@ -27,15 +27,14 @@ block-certifies that pair.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolationError
 from .equivalence import (
     IntMatrix,
-    block_obstruction,
-    distance_normal_form,
+    _block_obstruction,
+    _distance_normal_form,
     _system_witness,
 )
 from .invariants import Signature, lower_bound_classes, window_products
@@ -86,10 +85,6 @@ class ClassPartition(NamedTuple):
     phi: int
     lower_bound: int
     classes: tuple[ClassRecord, ...]
-
-    def to_json(self) -> str:
-        classes = [{**c._asdict(), "signature": c.signature._asdict()} for c in self.classes]
-        return json.dumps({**self._asdict(), "classes": classes})
 
 
 class NotFoundBelow(NamedTuple):
@@ -163,7 +158,7 @@ def _classify_bucket(
     joins: list[tuple[IntMatrix, dict]] = []  # each class's form R + I, join cache
     forms: dict[IntMatrix, list[int]] = {}
     for idx, rec in enumerate(records):
-        nf = distance_normal_form(rec)
+        nf = _distance_normal_form(rec)
         if not nf.certifies(rec):
             raise InvariantViolationError(
                 f"normal form certificate for {rec.m} fails verification"
@@ -198,7 +193,7 @@ def _check_cross_bucket(pairs: Iterable[tuple[MatrixRecord, MatrixRecord]]) -> N
     proof failed, so it stops the run.
     """
     for a, b in pairs:
-        if a.signature != b.signature and block_obstruction(a, b) is None:
+        if a.signature != b.signature and _block_obstruction(a, b) is None:
             raise InvariantViolationError(
                 f"representatives {a.m} and {b.m} have different signatures "
                 f"but no block certificate"

@@ -81,13 +81,21 @@ def _emit(text: str, output: str | None) -> None:
         raise InvalidParamsError(f"cannot write {output}: {exc.strerror}") from None
 
 
+def _csv(rows) -> str:
+    """rows as CSV with CRLF line ends; the last LF is left to _emit."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = LensParams(args.r, _parse_ints(args.m, "m vector"))
     matrix = count_matrix(params, jobs=args.jobs)
     if args.format == "json":
-        _emit(matrix.to_json(), args.output)
+        entries = [str(v) for row in matrix.entries for v in row]
+        _emit(json.dumps({"r": matrix.r, "m": matrix.m, "n": matrix.n, "entries": entries}), args.output)
     elif args.format == "csv":
-        _emit(matrix.to_csv().rstrip("\n"), args.output)
+        _emit(_csv(matrix.entries), args.output)
     else:
         _emit(json.dumps(matrix.entries, separators=(",", ":")), args.output)
     return EXIT_OK
@@ -97,16 +105,18 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     a = count_matrix(LensParams(args.r, _parse_ints(args.m1, "m vector")), jobs=args.jobs)
     b = count_matrix(LensParams(args.r, _parse_ints(args.m2, "m vector")), jobs=args.jobs)
     decision = decide_equiv(a, b)
+    w = decision.witness  # U and V in decimal strings, so that JSON readers keep every digit
+    witness = None if w is None else {k: [[str(v) for v in row] for row in m] for k, m in zip("UV", w)}
     if args.format == "json":
         payload = decision._asdict()
-        payload["witness"] = decision.witness._decimal() if decision.witness else None
+        payload["witness"] = witness
         payload["obstruction"] = decision.obstruction._asdict() if decision.obstruction else None
         _emit(json.dumps(payload, separators=(",", ":")), args.output)
     else:
         lines = ["Equivalent" if decision.equivalent else "NotEquivalent"]
         lines.append(f"reason: {decision.reason}")
-        if decision.witness is not None:
-            lines.append("witness: " + decision.witness.to_json())
+        if witness is not None:
+            lines.append("witness: " + json.dumps(witness))
         if decision.obstruction is not None:
             lines.append("obstruction: " + decision.obstruction.describe())
         _emit("\n".join(lines), args.output)
@@ -116,22 +126,15 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 def cmd_classes(args: argparse.Namespace) -> int:
     part = partition_classes(args.r, args.n, budget=args.budget, jobs=args.jobs)
     if args.format == "json":
-        _emit(part.to_json(), args.output)
+        classes = [{**c._asdict(), "signature": c.signature._asdict()} for c in part.classes]
+        _emit(json.dumps({**part._asdict(), "classes": classes}), args.output)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(ClassRecord._fields)
-        for cls in part.classes:
-            writer.writerow(
-                [
-                    ",".join(str(v) for v in cls.representative_m),
-                    cls.size,
-                    cls.size_matrices,
-                    json.dumps(cls.signature),
-                    cls.matrix_digest,
-                ]
-            )
-        _emit(buf.getvalue().rstrip("\n"), args.output)
+        rows = [
+            (",".join(map(str, c.representative_m)), c.size, c.size_matrices,
+             json.dumps(c.signature), c.matrix_digest)
+            for c in part.classes
+        ]
+        _emit(_csv([ClassRecord._fields, *rows]), args.output)
     else:
         lines = [f"phi = {part.phi} (lower bound {part.lower_bound})"]
         for cls in part.classes:

@@ -31,7 +31,6 @@ their gcd is that of the last block, the whole matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from operator import index, mul
 from typing import NamedTuple
@@ -66,13 +65,6 @@ class Witness(NamedTuple):
 
     U: IntMatrix
     V: IntMatrix
-
-    def _decimal(self) -> dict[str, list[list[str]]]:
-        """U and V in decimal strings, as to_json and equiv --format json print them."""
-        return {k: [[str(v) for v in row] for row in m] for k, m in (("U", self.U), ("V", self.V))}
-
-    def to_json(self) -> str:
-        return json.dumps(self._decimal())
 
 
 class CornerObstruction(NamedTuple):
@@ -317,10 +309,14 @@ def block_obstruction(A, B) -> tuple[int, int] | None:
     strictly-upper entry of the block in both matrices is divisible by g,
     the corners of equivalent matrices agree modulo g (exactly, for g = 0).
     """
+    return _block_obstruction(*_as_pair(A, B))
+
+
+def _block_obstruction(A, B) -> tuple[int, int] | None:
+    """block_obstruction without the input check, for checked entries or
+    the records that hold them."""
     a = getattr(A, "entries", A)
     b = getattr(B, "entries", B)
-    if len(b) != len(a):
-        raise DimensionMismatchError(f"matrices have dimensions {len(a)} and {len(b)}")
     for t, s, _ in _obstructing_blocks(a, b):
         return (t + 1, s + 1)
     return None
@@ -358,6 +354,12 @@ def distance_normal_form(matrix) -> NormalForm:
     equivalence; the converse fails, as the form is not a complete
     invariant.
     """
+    return _distance_normal_form(_as_entries(matrix, "matrix"))
+
+
+def _distance_normal_form(matrix) -> NormalForm:
+    """distance_normal_form without the input check, for checked entries or
+    the records that hold them."""
     a = getattr(matrix, "entries", matrix)
     n = len(a)
     form = [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]

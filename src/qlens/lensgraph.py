@@ -85,9 +85,12 @@ class LensParams(_LensParamsFields):
 
 
 def _check_rn(r: int, n: int | None = None) -> None:
-    """The (r, n) check of the functions that take no LensParams."""
-    if r <= 2:
-        raise BadModulusError(f"modulus r must be an integer > 2, got {r}")
+    """The (r, n) check of the functions that take no LensParams: r > 2 and
+    n >= 1, both integers (with __index__), so a float or string is refused."""
+    if not hasattr(type(r), "__index__") or r <= 2:
+        raise BadModulusError(f"modulus r must be an integer > 2, got {r!r}")
+    if n is not None and not hasattr(type(n), "__index__"):
+        raise InvalidParamsError(f"dimension n must be an integer, got {n!r}")
     if n is not None and n < 1:
         raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
 

@@ -9,10 +9,7 @@ the unique vertical 0-tail, which is never walked explicitly.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import json
 from array import array
 from functools import partial
 from itertools import accumulate, chain, repeat
@@ -86,22 +83,6 @@ class PathMatrix(_PathMatrixFields):
                 f"indices ({i}, {j}) out of range for an {self.n}x{self.n} matrix"
             )
         return self.entries[i - 1][j - 1]
-
-    def to_json(self) -> str:
-        payload = {
-            "r": self.r,
-            "m": list(self.m),
-            "n": self.n,
-            "entries": [str(v) for row in self.entries for v in row],
-        }
-        return json.dumps(payload)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in self.entries:
-            writer.writerow([str(v) for v in row])
-        return buf.getvalue()
 
 
 def _count_rows(r: int, m: tuple[int, ...], rows) -> list[tuple[int, ...]]:

@@ -23,6 +23,8 @@ from qlens.errors import (
 )
 from qlens.classify import (
     DEFAULT_VECTOR_BUDGET,
+    ClassPartition,
+    ClassRecord,
     NotFoundBelow,
     enumerate_matrices,
     partition_classes,
@@ -41,7 +43,7 @@ from qlens.equivalence import (
     verify_witness,
     _system_witness,
 )
-from qlens.invariants import check_divisibility, lower_bound_classes, phitilde_formula, signature
+from qlens.invariants import Signature, check_divisibility, lower_bound_classes, phitilde_formula, signature
 from qlens.lensgraph import LensParams, build_graph
 from qlens.numtheory import factorize
 from qlens.pathmatrix import _normalized_walk, count_matrix
@@ -272,7 +274,7 @@ def test_partition_bucketing_matches_plain_solver():
     for r, n in [(3, 6), (5, 6), (6, 6), (9, 6), (3, 5), (5, 5), (6, 5), (9, 5)]:
         bucketed = partition_classes(r, n)
         plain = partition_classes(r, n, jobs=2, use_signature_buckets=False)
-        assert bucketed.to_json() == plain.to_json(), (r, n)
+        assert bucketed == plain, (r, n)
 
 
 def test_partition_parallel_deterministic(monkeypatch):
@@ -289,9 +291,9 @@ def test_partition_parallel_deterministic(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     parallel = partition_classes(5, 7, jobs=2)
     assert started == [{"max_workers": 2}]
-    assert serial.to_json() == parallel.to_json()
+    assert serial == parallel
     again = partition_classes(5, 7, jobs=2)
-    assert parallel.to_json() == again.to_json()
+    assert parallel == again
 
 
 def _one_of_each_record():
@@ -344,9 +346,18 @@ def test_partition_budget_error():
 
 
 def test_class_partition_json_round_trip(capsys):
-    # classes --format json prints the library's own JSON, byte for byte
+    # classes --format json reads back as the library's partition, field by
+    # field and in field order
     assert main(["classes", "--r", "5", "--n", "5", "--format", "json"]) == 0
-    assert capsys.readouterr().out == partition_classes(5, 5).to_json() + "\n"
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == list(ClassPartition._fields)
+    assert all(list(c) == list(ClassRecord._fields) for c in payload["classes"])
+    classes = []
+    for c in payload.pop("classes"):
+        sig = Signature(tuple(c["signature"]["primes"]), tuple(map(tuple, c["signature"]["windows"])))
+        m = tuple(c["representative_m"])
+        classes.append(ClassRecord(**{**c, "representative_m": m, "signature": sig}))
+    assert ClassPartition(**payload, classes=tuple(classes)) == partition_classes(5, 5)
 
 
 def test_phitilde_search_examples():
@@ -450,7 +461,7 @@ def test_verify_conjectures_json(capsys):
 
 def test_cross_bucket_check_fires(monkeypatch):
     # a cross-bucket pair without a block certificate stops the run
-    monkeypatch.setattr(qlens.classify, "block_obstruction", lambda a, b: None)
+    monkeypatch.setattr(qlens.classify, "_block_obstruction", lambda a, b: None)
     with pytest.raises(InvariantViolationError, match="representatives .* no block certificate"):
         partition_classes(5, 6)
     with pytest.raises(InvariantViolationError, match="representatives .* no block certificate"):
@@ -468,7 +479,7 @@ def _failing_one_pair(monkeypatch, a_m, b_m):
     bad = frozenset((a_m, b_m))
     monkeypatch.setattr(
         qlens.classify,
-        "block_obstruction",
+        "_block_obstruction",
         lambda a, b: None if frozenset((a.m, b.m)) == bad else real(a, b),
     )
 
@@ -608,7 +619,7 @@ def test_pool_joins_match_serial(monkeypatch):
 
     serial = partition_classes(20, 6, jobs=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert partition_classes(20, 6, jobs=2).to_json() == serial.to_json()
+    assert partition_classes(20, 6, jobs=2) == serial
     assert started == [{"max_workers": 2}]
     assert serial.phi == 8
 
@@ -706,7 +717,7 @@ def test_corrupted_composition_is_caught(monkeypatch, capsys):
                 row[j] += t * row[p]
         return NormalForm(nf.form, tuple(map(tuple, q)))
 
-    monkeypatch.setattr(qlens.classify, "distance_normal_form", skipping)
+    monkeypatch.setattr(qlens.classify, "_distance_normal_form", skipping)
     with pytest.raises(InvariantViolationError, match="normal form certificate for .* fails verification"):
         partition_classes(8, 7)
     assert main(["classes", "--r", "8", "--n", "7"]) == 4
@@ -721,7 +732,7 @@ def test_block_scan_separates_cross_signature_representatives(monkeypatch):
         scanned.append((frozenset((a.m, b.m)), obstruction))
         return obstruction
 
-    monkeypatch.setattr(qlens.classify, "block_obstruction", recording)
+    monkeypatch.setattr(qlens.classify, "_block_obstruction", recording)
     part = partition_classes(15, 6)
     # 32 classes, one per signature: every pair is scanned once and certified
     assert part.phi == len({c.signature for c in part.classes}) == 32

@@ -19,6 +19,7 @@ import pytest
 import qlens
 import qlens.classify
 import qlens.cli
+import qlens.invariants
 import qlens.pathmatrix
 from qlens.classify import partition_classes
 from qlens.cli import main
@@ -46,10 +47,20 @@ def test_matrix_corner_value(capsys):
     assert json.loads(out)["entries"][3] == "11"
 
 
+def _json_values(record):
+    """A record as JSON reads it back: NamedTuples as objects, tuples as arrays."""
+    if hasattr(record, "_asdict"):
+        return {k: _json_values(v) for k, v in record._asdict().items()}
+    return [_json_values(v) for v in record] if isinstance(record, tuple) else record
+
+
 def test_matrix_json_round_trip(capsys):
     code, out, _ = run(capsys, "matrix", "--r", "7", "--m", "1,3,2,1", "--format", "json")
     assert code == 0
-    assert out == count_matrix(LensParams(7, (1, 3, 2, 1))).to_json() + "\n"
+    entries = count_matrix(LensParams(7, (1, 3, 2, 1))).entries
+    assert json.loads(out) == {
+        "r": 7, "m": [1, 3, 2, 1], "n": 4, "entries": [str(v) for row in entries for v in row]
+    }
 
 
 def test_matrix_csv(capsys):
@@ -132,7 +143,7 @@ def test_classes_plain(capsys):
 def test_classes_json_round_trip(capsys):
     code, out, _ = run(capsys, "classes", "--r", "3", "--n", "5", "--format", "json")
     assert code == 0
-    assert out == partition_classes(3, 5).to_json() + "\n"
+    assert json.loads(out) == _json_values(partition_classes(3, 5))
 
 
 def test_classes_csv_header(capsys):
@@ -238,6 +249,92 @@ def test_equiv_prints_witness_entries_past_the_digit_limit(capsys, monkeypatch):
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def _wrong_poly(monkeypatch):
+    real = qlens.cli.poly_1to6
+    monkeypatch.setattr(qlens.cli, "poly_1to6", lambda r: real(r) + 1)
+
+
+def _wrong_entry(monkeypatch):
+    # entry (1, 2) of each divisibility sample is r + 1, which r does not divide
+    real = qlens.invariants.count_matrix
+
+    def wrong(params):
+        matrix = real(params)
+        head, *tail = matrix.entries
+        return matrix._replace(entries=((1, head[1] + 1, *head[2:]), *tail))
+
+    monkeypatch.setattr(qlens.invariants, "count_matrix", wrong)
+
+
+def _wrong_corner(monkeypatch):
+    # the corner entry that each congruence sample checks is one too large
+    real = qlens.invariants._count_rows
+
+    def wrong(r, m, rows):
+        return [row[:-1] + (row[-1] + 1,) for row in real(r, m, rows)]
+
+    monkeypatch.setattr(qlens.invariants, "_count_rows", wrong)
+
+
+@pytest.mark.parametrize(
+    "wrong, failure, summary",
+    [
+        (_wrong_poly, "poly r=5: formula 310 != matrix entry 309", "lemmas: 20 checks passed, 1 failed"),
+        (
+            _wrong_entry,
+            "divisibility r=5 m=(4, 1, 3, 4, 4, 3, 4): 1 failed checks",
+            "lemmas: 11 checks passed, 10 failed",
+        ),
+        (
+            _wrong_corner,
+            "congruence r=5 p=5 alpha=1: congruence failed at (5; (1, 2)): 1 != 0 mod 5",
+            "lemmas: 11 checks passed, 10 failed",
+        ),
+    ],
+    ids=["poly", "divisibility", "congruence"],
+)
+def test_verify_lemmas_reports_failures(capsys, monkeypatch, wrong, failure, summary):
+    wrong(monkeypatch)
+    code, out, err = run(capsys, "verify", "--suite", "lemmas", "--r", "5")
+    assert code == 4
+    assert err == ""
+    lines = out.splitlines()
+    assert failure in lines
+    assert lines[-1] == summary
+
+
+def test_verify_conjectures_reports_failures(capsys, monkeypatch):
+    # the first class listed twice, once one vector larger, and a bound one
+    # above phi: a split bucket, unequal class sizes and phi off the product
+    real = qlens.classify.partition_classes
+
+    def wrong(*args, **kwargs):
+        part = real(*args, **kwargs)
+        first = part.classes[0]
+        classes = (first._replace(size=first.size + 1), *part.classes)
+        return part._replace(lower_bound=part.lower_bound + 1, classes=classes)
+
+    monkeypatch.setattr(qlens.classify, "partition_classes", wrong)
+    code, out, err = run(capsys, "verify", "--suite", "conjectures", "--r", "3", "--n-max", "1")
+    assert code == 4
+    assert err == ""
+    assert out == (
+        "verify r=3 n=1: FAIL (phi=1, lower bound 2, buckets 1)\n"
+        "  buckets with more than one class: [((3,), ((),))]\n"
+        "  phi = 1 differs from the product 2\n"
+        "  class sizes over vectors differ: [1, 2]\n"
+    )
+
+
+def test_partition_below_the_lower_bound_exits_4(capsys, monkeypatch):
+    real = qlens.classify.lower_bound_classes
+    monkeypatch.setattr(qlens.classify, "lower_bound_classes", lambda r, n: real(r, n) + 1)
+    code, out, err = run(capsys, "classes", "--r", "5", "--n", "6")
+    assert code == 4
+    assert out == ""
+    assert err == "error: found 4 classes for (r=5, n=6), below the proven bound 5\n"
+
+
 def test_verify_conjectures(capsys):
     code, out, _ = run(
         capsys,
@@ -341,6 +438,22 @@ PINNED_OUTPUTS = [
         ("phitilde", "--r", "35", "--n-max", "5", "--format", "json"),
         '{"r":35,"formula":6,"search":null,"n_max":5,"match":true}\n',
     ),
+    (
+        ("matrix", "--r", "3", "--m", "1,1,2,1", "--format", "json"),
+        '{"r": 3, "m": [1, 1, 2, 1], "n": 4,'
+        ' "entries": ["1", "3", "6", "11", "0", "1", "3", "6", "0", "0", "1", "3", "0", "0", "0", "1"]}\n',
+    ),
+    (
+        ("matrix", "--r", "3", "--m", "1,1,2,1", "--format", "csv"),
+        "1,3,6,11\r\n0,1,3,6\r\n0,0,1,3\r\n0,0,0,1\r\n",
+    ),
+    (
+        ("equiv", "--r", "5", "--m1", "1,1,1,1", "--m2", "1,3,1,1"),
+        "Equivalent\nreason: witness found\n"
+        'witness: {"U": [["1", "0", "1", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],'
+        ' ["0", "0", "0", "1"]], "V": [["1", "0", "0", "0"], ["0", "1", "0", "0"],'
+        ' ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}\n',
+    ),
 ]
 
 
@@ -358,6 +471,9 @@ PINNED_OUTPUTS = [
         "phitilde-55-json",
         "phitilde-35-plain",
         "phitilde-35-not-found-json",
+        "matrix-json",
+        "matrix-csv",
+        "equiv-solved-witness-plain",
     ],
 )
 def test_output_bytes_pinned(capsys, argv, expected):
@@ -591,7 +707,7 @@ def test_dead_worker_exits_3(capsys, monkeypatch):
 
 def test_serial_commands_never_import_a_pool():
     # Start-up cost: the pool modules load only when a pool starts, and the
-    # records and their JSON and CSV writers load no dataclasses or inspect
+    # records and the CLI's JSON and CSV writers load no dataclasses or inspect
     # (checked against what the interpreter's site loaded before qlens).
     probe = (
         "import sys\n"
@@ -613,6 +729,21 @@ def test_serial_commands_never_import_a_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 1, 0, 0, 0] []"
+
+
+def test_library_import_loads_no_output_format_module():
+    # the records are plain data: json and csv are the CLI's alone
+    probe = (
+        "import sys\n"
+        "preloaded = set(sys.modules)\n"
+        "import qlens\n"
+        "print(sorted({'json', 'csv'} & (sys.modules.keys() - preloaded)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_source_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

@@ -592,18 +592,19 @@ def test_decide_equiv_witness_entries_stay_small(capsys):
     w = decision.witness
     assert all(abs(v) < 2**256 for mat in (w.U, w.V) for row in mat for v in row)
     payload = _equiv_json(capsys, 12, "1,1,5,7,5,1,1", "1,1,11,1,11,1,1")
-    assert payload["witness"] == json.loads(w.to_json())
+    assert Witness(*(tuple(tuple(map(int, row)) for row in payload["witness"][k]) for k in "UV")) == w
 
 
 def test_witness_json_round_trip(capsys):
     a = count_matrix(LensParams(5, (1, 1, 1, 1)))
     b = count_matrix(LensParams(5, (1, 2, 1, 1)))
     w = decide_equiv(a, b).witness
-    # entries are decimal strings, in equiv --format json as in to_json
-    assert json.loads(w.to_json()) == {
-        k: [[str(v) for v in row] for row in m] for k, m in (("U", w.U), ("V", w.V))
-    }
-    assert _equiv_json(capsys, 5, "1,1,1,1", "1,2,1,1")["witness"] == json.loads(w.to_json())
+    # entries are decimal strings, in equiv --format json as on plain equiv's witness line
+    decimal = {k: [[str(v) for v in row] for row in m] for k, m in (("U", w.U), ("V", w.V))}
+    assert _equiv_json(capsys, 5, "1,1,1,1", "1,2,1,1")["witness"] == decimal
+    assert main(["equiv", "--r", "5", "--m1", "1,1,1,1", "--m2", "1,2,1,1"]) == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("witness: ") and json.loads(line.removeprefix("witness: ")) == decimal
 
 
 def test_library_refuses_entries_that_are_not_integers():
@@ -655,6 +656,18 @@ def test_block_obstruction_pinned_pair():
     for x, y in [(small, large), (large, small)]:
         with pytest.raises(DimensionMismatchError):
             block_obstruction(x, y)
+
+
+def test_block_obstruction_and_normal_form_check_their_input():
+    # the checks of the module's other public functions: a float entry, a
+    # short row and a 2x3 matrix are refused, not read as integers or as 2x2
+    with pytest.raises(InvalidParamsError, match=r"^A entry \(1, 2\) is not an integer: 0\.5$"):
+        block_obstruction(((1, 0.5), (0, 1)), ((1, 1), (0, 1)))
+    with pytest.raises(DimensionMismatchError, match="^matrix must be square$"):
+        block_obstruction(((1, 1), (0, 1)), ((1, 2), (0,)))
+    for matrix in (((1, 2), (0,)), ((1, 2, 3), (0, 1, 1))):
+        with pytest.raises(DimensionMismatchError, match="^matrix must be square$"):
+            distance_normal_form(matrix)
 
 
 def test_block_obstruction_silent_on_transformed_pairs():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from qlens.classify import partition_classes
+from qlens.cli import main
 from qlens.errors import BadModulusError, InvalidParamsError
 from qlens.equivalence import decide_equiv
 from qlens.invariants import (
@@ -56,13 +57,14 @@ def test_signature_residues_are_units():
             assert all(1 <= v <= p - 1 for v in window)
 
 
-def test_signature_json_round_trip():
+def test_signature_json_round_trip(capsys):
     # at n = 6 both primes of 15 have windows
     part = partition_classes(15, 6)
     assert all(all(c.signature.windows) for c in part.classes)
     assert len({c.signature for c in part.classes}) > 1
-    # the JSON carries both primes and a window for each, class by class
-    classes = json.loads(part.to_json())["classes"]
+    # classes --format json carries both primes and a window for each, class by class
+    assert main(["classes", "--r", "15", "--n", "6", "--format", "json"]) == 0
+    classes = json.loads(capsys.readouterr().out)["classes"]
     assert [c["signature"] for c in classes] == [
         {"primes": [3, 5], "windows": [list(w) for w in c.signature.windows]}
         for c in part.classes

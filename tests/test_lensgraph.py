@@ -2,9 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
 
+from qlens.classify import enumerate_matrices, partition_classes
 from qlens.errors import (
     BadModulusError,
     IndexOutOfRangeError,
@@ -20,6 +22,8 @@ from qlens.lensgraph import (
     scale,
     to_dot,
 )
+from qlens.invariants import lower_bound_classes, phitilde_formula
+from qlens.pathmatrix import closed_form_all_ones
 
 
 def test_params_reduce_and_validate():
@@ -49,6 +53,24 @@ def test_params_refuse_entries_that_are_not_integers():
     with pytest.raises(InvalidParamsError, match=r"^m_2 = '2' is not an integer$"):
         LensParams(5, (1, "2", 1))
     assert LensParams(5, (True, -1)).m == (1, 4)
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        (lower_bound_classes, (15.0, 7), BadModulusError, "modulus r must be an integer > 2, got 15.0"),
+        (phitilde_formula, (6.0,), BadModulusError, "modulus r must be an integer > 2, got 6.0"),
+        (partition_classes, (5.0, 4), BadModulusError, "modulus r must be an integer > 2, got 5.0"),
+        (enumerate_matrices, (5, 4.0), InvalidParamsError, "dimension n must be an integer, got 4.0"),
+        (closed_form_all_ones, (5, 3.0), InvalidParamsError, "dimension n must be an integer, got 3.0"),
+    ],
+    ids=["lower_bound_classes", "phitilde_formula", "partition_classes", "enumerate_matrices", "closed_form_all_ones"],
+)
+def test_functions_without_params_refuse_r_and_n_that_are_not_integers(call, args, error, message):
+    # a float passes the range comparisons, so r and n are refused by type,
+    # with the error class of an out-of-range value
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(*args)
 
 
 def test_params_name_offending_entry():

@@ -164,7 +164,10 @@ def test_all_ones_matrix_computes_one_row(capsys, monkeypatch):
     monkeypatch.setattr(qlens.pathmatrix, "_count_rows", spy)
     assert main(["matrix", "--r", "10007", "--m", ",".join(["1"] * 64), "--format", "json"]) == 0
     assert calls == [[1]]
-    assert capsys.readouterr().out == closed_form_all_ones(10007, 64).to_json() + "\n"
+    entries = closed_form_all_ones(10007, 64).entries
+    assert json.loads(capsys.readouterr().out) == {
+        "r": 10007, "m": [1] * 64, "n": 64, "entries": [str(v) for row in entries for v in row]
+    }
 
 
 def test_shared_rows_in_pool_match_serial(monkeypatch):
@@ -375,19 +378,20 @@ def test_normalize_preserves_matrix():
 
 def test_json_round_trip(capsys):
     mat = count_matrix(LensParams(5, (1, 2, 1)))
-    payload = json.loads(mat.to_json())
+    assert main(["matrix", "--r", "5", "--m", "1,2,1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["r"] == 5
     assert payload["m"] == [1, 2, 1]
     assert payload["n"] == 3
     assert payload["entries"] == ["1", "5", "15", "0", "1", "5", "0", "0", "1"]
-    # matrix --format json prints this JSON, byte for byte
-    assert main(["matrix", "--r", "5", "--m", "1,2,1", "--format", "json"]) == 0
-    assert capsys.readouterr().out == mat.to_json() + "\n"
+    # row-major decimal strings of the library's entries
+    assert payload["entries"] == [str(v) for row in mat.entries for v in row]
 
 
-def test_csv_matches_entries():
+def test_csv_matches_entries(capsys):
     mat = count_matrix(LensParams(5, (1, 2, 1)))
-    rows = list(csv.reader(io.StringIO(mat.to_csv())))
+    assert main(["matrix", "--r", "5", "--m", "1,2,1", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert [[int(v) for v in row] for row in rows] == [list(r) for r in mat.entries]
 
 
