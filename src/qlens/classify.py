@@ -38,8 +38,8 @@ from .equivalence import (
     _system_witness,
 )
 from .invariants import Signature, lower_bound_classes, window_products
-from .lensgraph import LensParams
-from .numtheory import factorize
+from .lensgraph import LensParams, _check_rn
+from .numtheory import _integer, factorize
 from .pathmatrix import PathMatrix, _normalized_walk, _pool_map
 
 __all__ = [
@@ -132,6 +132,7 @@ def enumerate_matrices(
     r: int, n: int, budget: int = DEFAULT_VECTOR_BUDGET
 ) -> list[tuple[LensParams, PathMatrix]]:
     """All distinct matrices for (r, n), with smallest producing vectors."""
+    r, n = _check_rn(r, n)
     return [
         (LensParams(r, rec.m), PathMatrix(r, rec.m, rec.entries))
         for rec in _build_records(r, n, budget)
@@ -218,6 +219,7 @@ def partition_classes(
     different signatures must carry a block certificate of
     non-equivalence. Large cells use at most one process per bucket.
     """
+    r, n = _check_rn(r, n)
     records = _build_records(r, n, budget)
     buckets = [records]
     if use_signature_buckets:
@@ -267,6 +269,7 @@ def phitilde_search(
     bucket, which is classified until a second class appears or the
     dimension is exhausted.
     """
+    n_max = _integer(n_max, "n_max")
     for n in range(1, n_max + 1):
         records = _build_records(r, n, budget, stop_at_split=True)
         if records[0].signature != records[-1].signature:
@@ -324,6 +327,7 @@ def verify_conjectures(
     measure decides; the matrices measure is reported separately). When
     4 | r the three are not claimed.
     """
+    r, n = _check_rn(r, n)
     part = partition_classes(r, n, budget, jobs)
     phi, bound = part.phi, part.lower_bound
     buckets = Counter(c.signature.as_tuple() for c in part.classes)

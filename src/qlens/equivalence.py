@@ -41,6 +41,7 @@ from .errors import (
     InvalidParamsError,
     InvariantViolationError,
 )
+from .numtheory import _integer
 
 __all__ = [
     "Witness",
@@ -271,6 +272,7 @@ def obstruction_mod_k(A, B, k: int) -> CornerObstruction | None:
     entries differ modulo k; returns None otherwise. A returned
     obstruction proves the matrices are not equivalent.
     """
+    k = _integer(k, "obstruction modulus")
     if k < 2:
         raise InvalidParamsError(f"obstruction modulus must be >= 2, got {k}")
     a, b = _as_pair(A, B)
@@ -466,6 +468,7 @@ def submatrix_necessary(A, B, b: int, c: int) -> bool:
     """
     ea, eb = _as_pair(A, B)
     n = len(ea)
+    b, c = _integer(b, "block start b"), _integer(c, "block length c")
     if c < 0 or not (1 <= b <= b + c <= n):
         raise IndexOutOfRangeError(
             f"block [{b}, {b + c}] out of range for dimension {n}"

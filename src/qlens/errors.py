@@ -5,6 +5,22 @@ errors exit 3, and InvariantViolationError and NonIntegerResultError
 (a verification mismatch) exit 4.
 """
 
+__all__ = [
+    "QlensError",
+    "InputError",
+    "BadModulusError",
+    "NonUnitError",
+    "NotPrimeError",
+    "InvalidParamsError",
+    "DimensionMismatchError",
+    "IndexOutOfRangeError",
+    "HypothesisUnmetError",
+    "BudgetExceededError",
+    "TooLargeError",
+    "NonIntegerResultError",
+    "InvariantViolationError",
+]
+
 
 class QlensError(Exception):
     """Base class for all qlens errors."""

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import HypothesisUnmetError, InvalidParamsError, InvariantViolationError
 from .lensgraph import LensParams, _check_rn
-from .numtheory import binomial, factorize, is_prime, mod_inverse, padic_valuation
+from .numtheory import _integer, binomial, factorize, is_prime, mod_inverse, padic_valuation
 from .pathmatrix import PathMatrix, _count_rows, count_matrix
 
 __all__ = [
@@ -132,6 +132,7 @@ def congruence_main(params: LensParams, p: int, alpha: int) -> tuple[int, int]:
     by p^alpha; that hypothesis is checked directly and its failure
     raises HypothesisUnmet.
     """
+    p, alpha = _integer(p, "p"), _integer(alpha, "alpha")
     if not is_prime(p) or p == 2:
         raise InvalidParamsError(f"p must be an odd prime, got {p}")
     if alpha < 1:
@@ -162,7 +163,7 @@ def congruence_main(params: LensParams, p: int, alpha: int) -> tuple[int, int]:
 
 def lower_bound_classes(r: int, n: int) -> int:
     """Product over odd primes p of r of ceil((p-1)^(n-p)); 1 for 2-powers."""
-    _check_rn(r, n)
+    r, n = _check_rn(r, n)
     out = 1
     for p, _ in factorize(r).odd_primes:
         if n > p:
@@ -176,7 +177,7 @@ def phitilde_formula(r: int) -> int:
     p + 1 when 4 does not divide r (p the smallest odd prime of r);
     min(6, p + 1) when 4 | r; 6 when r is a power of two.
     """
-    _check_rn(r)
+    r, _ = _check_rn(r)
     p = factorize(r).smallest_odd_prime
     if p is None:
         return 6

@@ -26,6 +26,7 @@ from .errors import (
     NonUnitError,
     TooLargeError,
 )
+from .numtheory import _integer
 
 __all__ = [
     "LensParams",
@@ -61,8 +62,7 @@ class LensParams(_LensParamsFields):
     __slots__ = ()
 
     def __new__(cls, r: int, m: tuple[int, ...]) -> LensParams:
-        if not isinstance(r, int) or r <= 2:
-            raise BadModulusError(f"modulus r must be an integer > 2, got {r!r}")
+        r, _ = _check_rn(r)
         if not m:
             raise InvalidParamsError("m must contain at least one entry")
         for idx, value in enumerate(m, start=1):
@@ -84,15 +84,15 @@ class LensParams(_LensParamsFields):
         return f"({self.r}; ({', '.join(str(v) for v in self.m)}))"
 
 
-def _check_rn(r: int, n: int | None = None) -> None:
+def _check_rn(r: int, n: int | None = None) -> tuple[int, int | None]:
     """The (r, n) check of the functions that take no LensParams: r > 2 and
-    n >= 1, both integers (with __index__), so a float or string is refused."""
-    if not hasattr(type(r), "__index__") or r <= 2:
+    n >= 1, both read with operator.index, so a float or string is refused.
+    The caller computes with the ints returned, never with its arguments."""
+    if not hasattr(type(r), "__index__") or (r := index(r)) <= 2:
         raise BadModulusError(f"modulus r must be an integer > 2, got {r!r}")
-    if n is not None and not hasattr(type(n), "__index__"):
-        raise InvalidParamsError(f"dimension n must be an integer, got {n!r}")
-    if n is not None and n < 1:
+    if n is not None and (n := _integer(n, "dimension n")) < 1:
         raise InvalidParamsError(f"dimension n must be >= 1, got {n}")
+    return r, n
 
 
 def _units(r: int) -> list[int]:
@@ -102,7 +102,7 @@ def _units(r: int) -> list[int]:
 
 def scale(params: LensParams, b: int) -> LensParams:
     """Replace m by (b*m mod r) entrywise; b must be a unit modulo r."""
-    b = b % params.r
+    b = _integer(b, "scale factor") % params.r
     if math.gcd(b, params.r) != 1:
         raise NonUnitError(f"scale factor {b} is not a unit modulo {params.r}")
     return LensParams(params.r, tuple((b * v) % params.r for v in params.m))

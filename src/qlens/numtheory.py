@@ -7,9 +7,10 @@ arbitrary precision; nothing here ever overflows or rounds.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import NamedTuple
 
-from .errors import BadModulusError, NonUnitError, NotPrimeError
+from .errors import BadModulusError, InvalidParamsError, NonUnitError, NotPrimeError
 
 __all__ = [
     "Factorization",
@@ -19,6 +20,15 @@ __all__ = [
     "padic_valuation",
     "is_prime",
 ]
+
+
+def _integer(value, name: str, error: type[Exception] = InvalidParamsError) -> int:
+    """value read with operator.index, which refuses the float or string that
+    int() would truncate or parse, and turns a fixed-width integer exact."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 class Factorization(NamedTuple):
@@ -51,6 +61,7 @@ def mod_inverse(a: int, r: int) -> int:
 
 def factorize(r: int) -> Factorization:
     """Factor r > 1 by trial division."""
+    r = _integer(r, "r", BadModulusError)
     if r <= 1:
         raise BadModulusError(f"cannot factor {r}; need an integer > 1")
     two = 0

@@ -163,7 +163,7 @@ def _normalized_walk(
     with r. _count_rows takes the same steps one row at a time, for the rows
     count_matrix cannot copy from an earlier row, sharing gathers among them.
     """
-    _check_rn(r, n)
+    r, n = _check_rn(r, n)
     if n <= 2:
         return iter([((1,) * n, count_matrix(LensParams(r, (1,) * n)).entries)])
     primes = [p for p, _ in factorize(r).odd_primes] + [2] * (r % 2 == 0)
@@ -286,7 +286,7 @@ def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
 
 def closed_form_all_ones(r: int, n: int) -> PathMatrix:
     """Matrix for the all-ones vector: entry (i, j) = C(r-1+(j-i), j-i)."""
-    _check_rn(r, n)
+    r, n = _check_rn(r, n)
     entries = tuple(
         tuple(binomial(r - 1 + (j - i), j - i) if j >= i else 0 for j in range(n))
         for i in range(n)
@@ -301,7 +301,7 @@ def poly_1to6(r: int) -> int:
     division is always exact; a remainder would contradict the counting
     identity behind the formula, so it is reported loudly.
     """
-    _check_rn(r)
+    r, _ = _check_rn(r)
     numerator = 22 * r + 15 * r**2 - 5 * r**3 + 5 * r**4 + 3 * r**5
     quotient, remainder = divmod(numerator, 40)
     if remainder:

@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from qlens.classify import enumerate_matrices, partition_classes
+from qlens.classify import enumerate_matrices, partition_classes, phitilde_search, verify_conjectures
+from qlens.equivalence import obstruction_mod_k, submatrix_necessary
 from qlens.errors import (
     BadModulusError,
     IndexOutOfRangeError,
@@ -22,8 +23,9 @@ from qlens.lensgraph import (
     scale,
     to_dot,
 )
-from qlens.invariants import lower_bound_classes, phitilde_formula
-from qlens.pathmatrix import closed_form_all_ones
+from qlens.invariants import congruence_main, lower_bound_classes, phitilde_formula
+from qlens.numtheory import factorize
+from qlens.pathmatrix import closed_form_all_ones, poly_1to6
 
 
 def test_params_reduce_and_validate():
@@ -71,6 +73,72 @@ def test_functions_without_params_refuse_r_and_n_that_are_not_integers(call, arg
     # with the error class of an out-of-range value
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(*args)
+
+
+class Exact:
+    """An integer type with __index__ alone: no arithmetic, no comparison,
+    and no equality with int, so a value computed from it cannot pass."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+A3 = ((1, 3, 1), (0, 1, 3), (0, 0, 1))
+B3 = ((1, 3, 2), (0, 1, 3), (0, 0, 1))
+P25 = LensParams(25, (1, 2, 3))
+
+
+def test_integer_parameters_are_read_with_index():
+    # every integer parameter is read as an int before anything computes with it
+    assert LensParams(Exact(5), (Exact(1), Exact(2))) == LensParams(5, (1, 2))
+    assert scale(LensParams(5, (1, 2)), Exact(2)) == LensParams(5, (2, 4))
+    assert factorize(Exact(45)) == factorize(45) == (0, ((3, 2), (5, 1)))
+    assert lower_bound_classes(Exact(15), Exact(7)) == lower_bound_classes(15, 7)
+    assert phitilde_formula(Exact(6)) == 4
+    assert poly_1to6(Exact(10)) == poly_1to6(10)
+    assert closed_form_all_ones(Exact(5), Exact(3)) == closed_form_all_ones(5, 3)
+    assert enumerate_matrices(Exact(5), Exact(4)) == enumerate_matrices(5, 4)
+    assert partition_classes(Exact(5), Exact(4)) == partition_classes(5, 4)
+    assert phitilde_search(Exact(5), Exact(8)) == phitilde_search(5, 8) == 6
+    assert verify_conjectures(Exact(5), Exact(4)) == verify_conjectures(5, 4)
+    assert congruence_main(P25, Exact(5), Exact(2)) == congruence_main(P25, 5, 2)
+    assert obstruction_mod_k(A3, B3, Exact(3)) == obstruction_mod_k(A3, B3, 3) == (3, (1, 3), 1, 2)
+    assert submatrix_necessary(A3, B3, Exact(1), Exact(2)) is submatrix_necessary(A3, B3, 1, 2) is False
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        (LensParams, (5.0, (1,)), BadModulusError, "modulus r must be an integer > 2, got 5.0"),
+        (scale, (LensParams(5, (1,)), 2.0), InvalidParamsError, "scale factor must be an integer, got 2.0"),
+        (factorize, (45.0,), BadModulusError, "r must be an integer, got 45.0"),
+        (poly_1to6, (10.0,), BadModulusError, "modulus r must be an integer > 2, got 10.0"),
+        (phitilde_search, (5, 8.0), InvalidParamsError, "n_max must be an integer, got 8.0"),
+        (congruence_main, (P25, 5.0, 2), InvalidParamsError, "p must be an integer, got 5.0"),
+        (congruence_main, (P25, 5, 2.0), InvalidParamsError, "alpha must be an integer, got 2.0"),
+        (obstruction_mod_k, (A3, B3, 3.0), InvalidParamsError, "obstruction modulus must be an integer, got 3.0"),
+        (submatrix_necessary, (A3, B3, 1.0, 2), InvalidParamsError, "block start b must be an integer, got 1.0"),
+        (submatrix_necessary, (A3, B3, 1, 2.0), InvalidParamsError, "block length c must be an integer, got 2.0"),
+    ],
+    ids=["LensParams", "scale", "factorize", "poly_1to6", "phitilde_search", "congruence_main-p",
+         "congruence_main-alpha", "obstruction_mod_k", "submatrix_necessary-b", "submatrix_necessary-c"],
+)
+def test_integer_parameters_refuse_floats(call, args, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(*args)
+
+
+def test_fixed_width_integers_are_computed_with_exactly():
+    np = pytest.importorskip("numpy")
+    # in int64 these overflow: 14^25 wraps to 0, and poly_1to6's numerator
+    # to a value that 40 does not divide
+    assert lower_bound_classes(np.int64(15), 40) == 162259276829213363391578010288128
+    assert poly_1to6(np.int64(10**4)) == 7501249875037505500
+    assert type(partition_classes(np.int64(5), 5).r) is int
+    assert type(LensParams(np.int64(5), (1, 2)).r) is int
 
 
 def test_params_name_offending_entry():
