@@ -220,6 +220,7 @@ def partition_classes(
     non-equivalence. Large cells use at most one process per bucket.
     """
     r, n = _check_rn(r, n)
+    jobs = None if jobs is None else _integer(jobs, "jobs")
     records = _build_records(r, n, budget)
     buckets = [records]
     if use_signature_buckets:

@@ -2,7 +2,7 @@
 
 Exit codes form the contract: 0 success or Equivalent, 1 NotEquivalent,
 2 invalid input or an unwritable --output, 3 budget exceeded, out of
-memory or a worker that died or never started, 4 verification mismatch.
+memory or a worker that died or never started, 4 a failed check.
 """
 
 import argparse
@@ -27,7 +27,6 @@ from .errors import (
     BudgetExceededError,
     InvalidParamsError,
     InvariantViolationError,
-    NonIntegerResultError,
     QlensError,
 )
 from .invariants import check_divisibility, congruence_main, phitilde_formula
@@ -354,13 +353,10 @@ def main(argv: list[str] | None = None) -> int:
                     f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}"
                 )
         return args.handler(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_BUDGET
-    except (InvariantViolationError, NonIntegerResultError) as exc:
+    except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except QlensError as exc:

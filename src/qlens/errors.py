@@ -1,8 +1,7 @@
 """Exception hierarchy shared by all qlens modules.
 
-The CLI maps these onto exit codes: input errors exit 2, budget
-errors exit 3, and InvariantViolationError and NonIntegerResultError
-(a verification mismatch) exit 4.
+Every class but QlensError descends from one of three roots, one per CLI
+exit code: InputError 2, BudgetExceededError 3, InvariantViolationError 4.
 """
 
 __all__ = [
@@ -14,11 +13,11 @@ __all__ = [
     "InvalidParamsError",
     "DimensionMismatchError",
     "IndexOutOfRangeError",
-    "HypothesisUnmetError",
     "BudgetExceededError",
     "TooLargeError",
-    "NonIntegerResultError",
     "InvariantViolationError",
+    "HypothesisUnmetError",
+    "NonIntegerResultError",
 ]
 
 
@@ -54,10 +53,6 @@ class IndexOutOfRangeError(InputError):
     """A submatrix block does not fit inside the matrix."""
 
 
-class HypothesisUnmetError(InputError):
-    """A congruence was requested whose divisibility hypothesis fails."""
-
-
 class BudgetExceededError(QlensError):
     """An enumeration cap would be exceeded, or a pool worker died or never started (exit 3)."""
 
@@ -66,9 +61,13 @@ class TooLargeError(BudgetExceededError):
     """Brute-force path enumeration exceeded its visit budget."""
 
 
-class NonIntegerResultError(QlensError):
-    """An exact division failed; indicates a broken closed form."""
-
-
 class InvariantViolationError(QlensError):
-    """A proven invariant failed at runtime; always a bug, never input."""
+    """A check of a proven statement failed at runtime; always a bug, never input (exit 4)."""
+
+
+class HypothesisUnmetError(InvariantViolationError):
+    """An entry that the odd-prime-power window law makes divisible by p^alpha is not."""
+
+
+class NonIntegerResultError(InvariantViolationError):
+    """A division that is exact for every r left a remainder; the closed form is broken."""

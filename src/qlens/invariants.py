@@ -80,10 +80,12 @@ def check_divisibility(params: LensParams, matrix: PathMatrix | None = None) -> 
     For each maximal odd prime power p^k of r, p^k divides every entry
     (a, b) with 0 < b - a < p. When 4 | r with 2^t the exact two-part,
     2^t divides every entry (a, a+3) and every entry (a, a+4) has 2-adic
-    valuation exactly t - 2.
+    valuation exactly t - 2. A given matrix must be that of params.
     """
     if matrix is None:
         matrix = count_matrix(params)
+    elif (matrix.r, matrix.m) != (params.r, params.m):
+        raise InvalidParamsError(f"the matrix is of ({matrix.r}; {matrix.m}), not {params}")
     r, n = params.r, params.n
     fact = factorize(r)
     checks: list[DivisibilityCheck] = []
@@ -129,8 +131,8 @@ def congruence_main(params: LensParams, p: int, alpha: int) -> tuple[int, int]:
     Requires p an odd prime with p^alpha | r and n <= p + 1. The corner
     entry (1, n) is congruent to binom(r+n-2, n-1) times the inverse of
     m_2 * ... * m_{n-1}, provided every shorter entry (1, a) is divisible
-    by p^alpha; that hypothesis is checked directly and its failure
-    raises HypothesisUnmet.
+    by p^alpha. The odd-prime-power window law proves that for every path
+    matrix; it is checked all the same, and a failure raises HypothesisUnmetError.
     """
     p, alpha = _integer(p, "p"), _integer(alpha, "alpha")
     if not is_prime(p) or p == 2:

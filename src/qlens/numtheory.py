@@ -51,9 +51,9 @@ def mod_inverse(a: int, r: int) -> int:
 
     Raises NonUnitError when gcd(a, r) != 1 and BadModulusError when r <= 1.
     """
-    if r <= 1:
+    if (r := _integer(r, "modulus", BadModulusError)) <= 1:
         raise BadModulusError(f"modulus must exceed 1, got {r}")
-    a = a % r
+    a = _integer(a, "a") % r
     if math.gcd(a, r) != 1:
         raise NonUnitError(f"{a} is not a unit modulo {r}")
     return pow(a, -1, r)
@@ -85,8 +85,9 @@ def factorize(r: int) -> Factorization:
 
 def binomial(a: int, b: int) -> int:
     """Exact binomial coefficient C(a, b); zero when b > a."""
+    a, b = _integer(a, "a"), _integer(b, "b")
     if a < 0 or b < 0:
-        raise ValueError(f"binomial is defined for non-negative arguments, got ({a}, {b})")
+        raise InvalidParamsError(f"binomial is defined for non-negative arguments, got ({a}, {b})")
     if b > a:
         return 0
     return math.comb(a, b)
@@ -94,7 +95,7 @@ def binomial(a: int, b: int) -> int:
 
 def is_prime(p: int) -> bool:
     """Trial-division primality test; ample for the moduli handled here."""
-    if p < 2:
+    if (p := _integer(p, "p")) < 2:
         return False
     if p < 4:
         return True
@@ -110,6 +111,7 @@ def is_prime(p: int) -> bool:
 
 def padic_valuation(x: int, p: int) -> int | float:
     """Largest k with p^k dividing x; math.inf for x = 0."""
+    x, p = _integer(x, "x"), _integer(p, "p")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if x == 0:

@@ -10,6 +10,7 @@ the unique vertical 0-tail, which is never walked explicitly.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from functools import partial
 from itertools import accumulate, chain, repeat
@@ -18,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceededError, DimensionMismatchError, IndexOutOfRangeError, NonIntegerResultError
 from .lensgraph import LensParams, _check_rn, _units, scale
-from .numtheory import binomial, factorize, mod_inverse
+from .numtheory import _integer, binomial, factorize, mod_inverse
 
 __all__ = [
     "PathMatrix",
@@ -130,7 +131,11 @@ def _normalized_walk(
 
     (r, n) is checked, and the phi(r)^(n-3) vectors are held to budget
     (n <= 2 has one vector and is exempt), when the walk is made, from r's
-    primes: before the units are listed or any vector is walked.
+    primes: before the units are listed or any vector is walked. So is the
+    depth: each vector passes through n - 2 nested generators, so an n past
+    half the recursion limit (500 by default) that the budget admits is
+    refused, leaving the other half for the caller's frames. The default
+    budget admits no n past 26.
 
     The closing value of subgraph s is the sum of the state before it, so
     entry (i, s) = entry (i, s-1) + sum(state of row i after subgraph s-1):
@@ -164,6 +169,7 @@ def _normalized_walk(
     count_matrix cannot copy from an earlier row, sharing gathers among them.
     """
     r, n = _check_rn(r, n)
+    budget = _integer(budget, "budget")
     if n <= 2:
         return iter([((1,) * n, count_matrix(LensParams(r, (1,) * n)).entries)])
     primes = [p for p, _ in factorize(r).odd_primes] + [2] * (r % 2 == 0)
@@ -175,6 +181,10 @@ def _normalized_walk(
         count = total if k == n - 3 and total < WALK_COUNT_CAP else f"{phi}^{n - 3}"
         raise BudgetExceededError(
             f"enumeration needs {count} vectors, exceeding the budget of {budget}"
+        )
+    if n > (depth := sys.getrecursionlimit() // 2):
+        raise BudgetExceededError(
+            f"the walk nests n - 2 generators, so n must be <= {depth}, half the recursion limit; got {n}"
         )
     units = _units(r)
     width = n * r.bit_length()
@@ -271,6 +281,7 @@ def count_matrix(params: LensParams, jobs: int | None = None) -> PathMatrix:
     MATRIX_MAX_ROW_STEPS (r * n^2) it refuses before building any state.
     """
     r, m, n = params.r, params.m, params.n
+    jobs = None if jobs is None else _integer(jobs, "jobs")
     if r * n * n > MATRIX_MAX_ROW_STEPS:
         raise BudgetExceededError(f"matrix needs over {MATRIX_MAX_ROW_STEPS} row steps (r * n^2)")
     ratios = tuple(u * mod_inverse(f, r) % r for f, u in zip(m[1:], m[2:]))

@@ -19,6 +19,7 @@ import pytest
 import qlens
 import qlens.classify
 import qlens.cli
+import qlens.errors
 import qlens.invariants
 import qlens.pathmatrix
 from qlens.classify import partition_classes
@@ -159,6 +160,51 @@ def test_classes_budget_exit_3(capsys):
     assert "budget" in err
 
 
+# The budget of 10^400 admits r = 3's 2^1097 ~ 10^330 vectors, so only the
+# depth refuses n = 1100: its walk would nest 1098 generators, past the
+# recursion limit, and end on a RecursionError.
+DEEP_WALK = ("classes", "--r", "3", "--n", "1100", "--budget", str(10**400))
+
+
+def test_deep_walk_exit_3_before_any_vector(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *DEEP_WALK)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == "error: the walk nests n - 2 generators, so n must be <= 500, half the recursion limit; got 1100\n"
+
+
+def test_deep_walk_exit_3_in_a_process():
+    command, env = _cli_command()
+    proc = subprocess.run([*command, *DEEP_WALK], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+EXIT_CODES = {qlens.errors.InputError: 2, qlens.errors.BudgetExceededError: 3, qlens.errors.InvariantViolationError: 4}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [getattr(qlens.errors, name) for name in qlens.errors.__all__ if name != "QlensError"],
+    ids=lambda error: error.__name__,
+)
+def test_each_error_exits_with_its_roots_code(capsys, monkeypatch, error):
+    # the exception tree is the exit-code table: every error has one root
+    codes = [code for root, code in EXIT_CODES.items() if issubclass(error, root)]
+    assert len(codes) == 1
+
+    def fail(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(qlens.cli, "count_matrix", fail)
+    assert run(capsys, "matrix", "--r", "5", "--m", "1,2,1") == (codes[0], "", "error: planted\n")
+
+
 def test_out_of_memory_exit_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -276,6 +322,16 @@ def _wrong_corner(monkeypatch):
     monkeypatch.setattr(qlens.invariants, "_count_rows", wrong)
 
 
+def _unmet_hypothesis(monkeypatch):
+    # entry (1, 2) of each congruence sample is r + 1, which r does not divide
+    real = qlens.invariants._count_rows
+
+    def wrong(r, m, rows):
+        return [row[:1] + (row[1] + 1,) + row[2:] for row in real(r, m, rows)]
+
+    monkeypatch.setattr(qlens.invariants, "_count_rows", wrong)
+
+
 @pytest.mark.parametrize(
     "wrong, failure, summary",
     [
@@ -290,8 +346,13 @@ def _wrong_corner(monkeypatch):
             "congruence r=5 p=5 alpha=1: congruence failed at (5; (1, 2)): 1 != 0 mod 5",
             "lemmas: 11 checks passed, 10 failed",
         ),
+        (
+            _unmet_hypothesis,
+            "congruence r=5 p=5 alpha=1: entry (1, 2) = 6 is not divisible by 5",
+            "lemmas: 11 checks passed, 10 failed",
+        ),
     ],
-    ids=["poly", "divisibility", "congruence"],
+    ids=["poly", "divisibility", "congruence", "hypothesis"],
 )
 def test_verify_lemmas_reports_failures(capsys, monkeypatch, wrong, failure, summary):
     wrong(monkeypatch)

@@ -96,6 +96,18 @@ def test_check_divisibility_odd_prime_windows():
     assert positions == {(1, 2), (1, 3), (2, 3)}
 
 
+def test_check_divisibility_refuses_the_matrix_of_other_params():
+    params = LensParams(5, (1, 2, 3, 4, 1, 2))
+    own = count_matrix(params)
+    assert check_divisibility(params, own) == check_divisibility(params)
+    # a passing r = 15 matrix, and a 3x3 matrix too small for n = 6
+    for other in (LensParams(15, (1, 2, 4, 7, 8, 11)), LensParams(5, (1, 2, 3))):
+        with pytest.raises(InvalidParamsError, match=rf"^the matrix is of \({other.r}; .*\), not \(5; "):
+            check_divisibility(params, count_matrix(other))
+    with pytest.raises(InvalidParamsError):
+        check_divisibility(params, own._replace(m=(1, 2, 3, 4, 1, 3)))
+
+
 def test_check_divisibility_two_power_entries():
     rng = random.Random(12)
     for r in (4, 8, 12, 16, 20, 24):

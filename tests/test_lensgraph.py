@@ -24,8 +24,8 @@ from qlens.lensgraph import (
     to_dot,
 )
 from qlens.invariants import congruence_main, lower_bound_classes, phitilde_formula
-from qlens.numtheory import factorize
-from qlens.pathmatrix import closed_form_all_ones, poly_1to6
+from qlens.numtheory import binomial, factorize, is_prime, mod_inverse, padic_valuation
+from qlens.pathmatrix import closed_form_all_ones, count_matrix, poly_1to6
 
 
 def test_params_reduce_and_validate():
@@ -107,6 +107,12 @@ def test_integer_parameters_are_read_with_index():
     assert congruence_main(P25, Exact(5), Exact(2)) == congruence_main(P25, 5, 2)
     assert obstruction_mod_k(A3, B3, Exact(3)) == obstruction_mod_k(A3, B3, 3) == (3, (1, 3), 1, 2)
     assert submatrix_necessary(A3, B3, Exact(1), Exact(2)) is submatrix_necessary(A3, B3, 1, 2) is False
+    assert is_prime(Exact(7)) is True
+    assert padic_valuation(Exact(8), Exact(2)) == 3
+    assert binomial(Exact(5), Exact(2)) == 10
+    assert mod_inverse(Exact(2), Exact(5)) == 3
+    assert count_matrix(P25, jobs=Exact(2)) == count_matrix(P25)
+    assert partition_classes(5, 4, budget=Exact(100), jobs=Exact(2)) == partition_classes(5, 4)
 
 
 @pytest.mark.parametrize(
@@ -122,9 +128,24 @@ def test_integer_parameters_are_read_with_index():
         (obstruction_mod_k, (A3, B3, 3.0), InvalidParamsError, "obstruction modulus must be an integer, got 3.0"),
         (submatrix_necessary, (A3, B3, 1.0, 2), InvalidParamsError, "block start b must be an integer, got 1.0"),
         (submatrix_necessary, (A3, B3, 1, 2.0), InvalidParamsError, "block length c must be an integer, got 2.0"),
+        (is_prime, (7.0,), InvalidParamsError, "p must be an integer, got 7.0"),
+        (padic_valuation, (8.0, 2), InvalidParamsError, "x must be an integer, got 8.0"),
+        (padic_valuation, (8, 2.0), InvalidParamsError, "p must be an integer, got 2.0"),
+        (binomial, (5.0, 2), InvalidParamsError, "a must be an integer, got 5.0"),
+        (binomial, (-1, 2), InvalidParamsError, "binomial is defined for non-negative arguments, got (-1, 2)"),
+        (mod_inverse, (2, 5.0), BadModulusError, "modulus must be an integer, got 5.0"),
+        (mod_inverse, (2.0, 5), InvalidParamsError, "a must be an integer, got 2.0"),
+        # refused at entry, also where the row pool would not start
+        (lambda jobs: count_matrix(P25, jobs=jobs), ("2",), InvalidParamsError, "jobs must be an integer, got '2'"),
+        (lambda jobs: count_matrix(P25, jobs=jobs), (2.0,), InvalidParamsError, "jobs must be an integer, got 2.0"),
+        (partition_classes, (5, 8, 10**7, "2"), InvalidParamsError, "jobs must be an integer, got '2'"),
+        (partition_classes, (5, 5, 2.5), InvalidParamsError, "budget must be an integer, got 2.5"),
     ],
     ids=["LensParams", "scale", "factorize", "poly_1to6", "phitilde_search", "congruence_main-p",
-         "congruence_main-alpha", "obstruction_mod_k", "submatrix_necessary-b", "submatrix_necessary-c"],
+         "congruence_main-alpha", "obstruction_mod_k", "submatrix_necessary-b", "submatrix_necessary-c",
+         "is_prime", "padic_valuation-x", "padic_valuation-p", "binomial", "binomial-negative",
+         "mod_inverse-r", "mod_inverse-a", "count_matrix-jobs-str", "count_matrix-jobs-float",
+         "partition_classes-jobs", "partition_classes-budget"],
 )
 def test_integer_parameters_refuse_floats(call, args, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
