@@ -331,10 +331,10 @@ def verify_conjectures(
     r, n = _check_rn(r, n)
     part = partition_classes(r, n, budget, jobs)
     phi, bound = part.phi, part.lower_bound
-    buckets = Counter(c.signature.as_tuple() for c in part.classes)
+    buckets = Counter(c.signature for c in part.classes)
     if r % 4 == 0:
         return ConjectureReport(r, n, phi, bound, len(buckets), None, None, None, None, ())
-    split = [key for key, count in buckets.items() if count > 1]
+    split = [tuple(key) for key, count in buckets.items() if count > 1]
     vec_sizes = sorted({c.size for c in part.classes})
     mat_sizes = sorted({c.size_matrices for c in part.classes})
     details = []

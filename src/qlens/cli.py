@@ -1,8 +1,10 @@
 """Command-line interface exposing matrices, equivalence, classes, and checks.
 
+Each command returns its exit code and its text, which main writes once.
 Exit codes form the contract: 0 success or Equivalent, 1 NotEquivalent,
-2 invalid input or an unwritable --output, 3 budget exceeded, out of
-memory or a worker that died or never started, 4 a failed check.
+2 invalid input or an --output or stdout that cannot be written, 3 budget
+exceeded, out of memory or a worker that died or never started, 4 a failed
+check.
 """
 
 import argparse
@@ -70,13 +72,20 @@ def _default_jobs() -> int:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        print(text)
-        return
+    """text and a line end to output, or to stdout when it is None. A failed
+    write is an input error; stdout is then pointed at os.devnull, so that
+    the interpreter's flush at exit cannot fail a second time."""
     try:
+        if output is None:
+            print(text, flush=True)
+            return
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            print(text, file=handle)
     except OSError as exc:
+        if output is None:
+            output, devnull = "stdout", os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise InvalidParamsError(f"cannot write {output}: {exc.strerror}") from None
 
 
@@ -87,69 +96,65 @@ def _csv(rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
+def cmd_matrix(args: argparse.Namespace) -> tuple[int, str]:
     params = LensParams(args.r, _parse_ints(args.m, "m vector"))
     matrix = count_matrix(params, jobs=args.jobs)
     if args.format == "json":
         entries = [str(v) for row in matrix.entries for v in row]
-        _emit(json.dumps({"r": matrix.r, "m": matrix.m, "n": matrix.n, "entries": entries}), args.output)
-    elif args.format == "csv":
-        _emit(_csv(matrix.entries), args.output)
-    else:
-        _emit(json.dumps(matrix.entries, separators=(",", ":")), args.output)
-    return EXIT_OK
+        return EXIT_OK, json.dumps({"r": matrix.r, "m": matrix.m, "n": matrix.n, "entries": entries})
+    if args.format == "csv":
+        return EXIT_OK, _csv(matrix.entries)
+    return EXIT_OK, json.dumps(matrix.entries, separators=(",", ":"))
 
 
-def cmd_equiv(args: argparse.Namespace) -> int:
+def cmd_equiv(args: argparse.Namespace) -> tuple[int, str]:
     a = count_matrix(LensParams(args.r, _parse_ints(args.m1, "m vector")), jobs=args.jobs)
     b = count_matrix(LensParams(args.r, _parse_ints(args.m2, "m vector")), jobs=args.jobs)
     decision = decide_equiv(a, b)
     w = decision.witness  # U and V in decimal strings, so that JSON readers keep every digit
     witness = None if w is None else {k: [[str(v) for v in row] for row in m] for k, m in zip("UV", w)}
+    code = EXIT_OK if decision.equivalent else EXIT_NOT_EQUIVALENT
     if args.format == "json":
         payload = decision._asdict()
         payload["witness"] = witness
         payload["obstruction"] = decision.obstruction._asdict() if decision.obstruction else None
-        _emit(json.dumps(payload, separators=(",", ":")), args.output)
-    else:
-        lines = ["Equivalent" if decision.equivalent else "NotEquivalent"]
-        lines.append(f"reason: {decision.reason}")
-        if witness is not None:
-            lines.append("witness: " + json.dumps(witness))
-        if decision.obstruction is not None:
-            lines.append("obstruction: " + decision.obstruction.describe())
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK if decision.equivalent else EXIT_NOT_EQUIVALENT
+        return code, json.dumps(payload, separators=(",", ":"))
+    lines = ["Equivalent" if decision.equivalent else "NotEquivalent"]
+    lines.append(f"reason: {decision.reason}")
+    if witness is not None:
+        lines.append("witness: " + json.dumps(witness))
+    if decision.obstruction is not None:
+        lines.append("obstruction: " + decision.obstruction.describe())
+    return code, "\n".join(lines)
 
 
-def cmd_classes(args: argparse.Namespace) -> int:
+def cmd_classes(args: argparse.Namespace) -> tuple[int, str]:
     part = partition_classes(args.r, args.n, budget=args.budget, jobs=args.jobs)
     if args.format == "json":
         classes = [{**c._asdict(), "signature": c.signature._asdict()} for c in part.classes]
-        _emit(json.dumps({**part._asdict(), "classes": classes}), args.output)
-    elif args.format == "csv":
+        return EXIT_OK, json.dumps({**part._asdict(), "classes": classes})
+    if args.format == "csv":
         rows = [
             (",".join(map(str, c.representative_m)), c.size, c.size_matrices,
              json.dumps(c.signature), c.matrix_digest)
             for c in part.classes
         ]
-        _emit(_csv([ClassRecord._fields, *rows]), args.output)
-    else:
-        lines = [f"phi = {part.phi} (lower bound {part.lower_bound})"]
-        for cls in part.classes:
-            vec = "(" + ", ".join(str(v) for v in cls.representative_m) + ")"
-            lines.append(
-                f"class {vec}: {cls.size} vectors, {cls.size_matrices} matrices"
-            )
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK
+        return EXIT_OK, _csv([ClassRecord._fields, *rows])
+    lines = [f"phi = {part.phi} (lower bound {part.lower_bound})"]
+    for cls in part.classes:
+        vec = "(" + ", ".join(str(v) for v in cls.representative_m) + ")"
+        lines.append(
+            f"class {vec}: {cls.size} vectors, {cls.size_matrices} matrices"
+        )
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_phitilde(args: argparse.Namespace) -> int:
+def cmd_phitilde(args: argparse.Namespace) -> tuple[int, str]:
     formula = phitilde_formula(args.r)
     found = phitilde_search(args.r, args.n_max, budget=args.budget)
     searched = None if isinstance(found, NotFoundBelow) else found
     match = formula == searched if searched is not None else formula > args.n_max
+    code = EXIT_OK if match else EXIT_MISMATCH
     if args.format == "json":
         payload = {
             "r": args.r,
@@ -158,11 +163,9 @@ def cmd_phitilde(args: argparse.Namespace) -> int:
             "n_max": args.n_max,
             "match": match,
         }
-        _emit(json.dumps(payload, separators=(",", ":")), args.output)
-    else:
-        shown = str(searched) if searched is not None else f"not found below {args.n_max}"
-        _emit(f"formula {formula}, search {shown}", args.output)
-    return EXIT_OK if match else EXIT_MISMATCH
+        return code, json.dumps(payload, separators=(",", ":"))
+    shown = str(searched) if searched is not None else f"not found below {args.n_max}"
+    return code, f"formula {formula}, search {shown}"
 
 
 def _check_lemma_steps(r_values: tuple[int, ...]) -> None:
@@ -224,7 +227,7 @@ def _lemma_checks(r: int, rng: random.Random) -> tuple[list[str], list[str]]:
     return lines, failures
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     r_values = _parse_ints(args.r, "--r list")
     if args.suite == "lemmas":
         _check_lemma_steps(r_values)
@@ -235,6 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok, bad = _lemma_checks(r, rng)
             lines.extend(ok)
             failures.extend(bad)
+        code = EXIT_MISMATCH if failures else EXIT_OK
         if args.format == "json":
             payload = {
                 "suite": "lemmas",
@@ -242,14 +246,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "checks": len(lines) + len(failures),
                 "failures": failures,
             }
-            _emit(json.dumps(payload, separators=(",", ":")), args.output)
-        else:
-            body = lines + failures
-            body.append(
-                f"lemmas: {len(lines)} checks passed, {len(failures)} failed"
-            )
-            _emit("\n".join(body), args.output)
-        return EXIT_MISMATCH if failures else EXIT_OK
+            return code, json.dumps(payload, separators=(",", ":"))
+        body = lines + failures
+        body.append(
+            f"lemmas: {len(lines)} checks passed, {len(failures)} failed"
+        )
+        return code, "\n".join(body)
 
     reports = []
     for r in r_values:
@@ -257,22 +259,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports.append(
                 verify_conjectures(r, n, budget=args.budget, jobs=args.jobs)
             )
-    all_passed = all(report.passed for report in reports)
+    code = EXIT_OK if all(report.passed for report in reports) else EXIT_MISMATCH
     if args.format == "json":
-        payload = [report._asdict() for report in reports]
-        _emit(json.dumps(payload, separators=(",", ":")), args.output)
-    else:
-        lines = []
-        for report in reports:
-            status = "pass" if report.passed else "FAIL"
-            lines.append(
-                f"verify r={report.r} n={report.n}: {status}"
-                f" (phi={report.phi}, lower bound {report.lower_bound},"
-                f" buckets {report.buckets})"
-            )
-            lines.extend("  " + note for note in report.details)
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK if all_passed else EXIT_MISMATCH
+        return code, json.dumps([report._asdict() for report in reports], separators=(",", ":"))
+    lines = []
+    for report in reports:
+        status = "pass" if report.passed else "FAIL"
+        lines.append(
+            f"verify r={report.r} n={report.n}: {status}"
+            f" (phi={report.phi}, lower bound {report.lower_bound},"
+            f" buckets {report.buckets})"
+        )
+        lines.extend("  " + note for note in report.details)
+    return code, "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,7 +351,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise InvalidParamsError(
                     f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}"
                 )
-        return args.handler(args)
+        code, text = args.handler(args)
+        _emit(text, args.output)
+        return code
     except (BudgetExceededError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
@@ -365,7 +366,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

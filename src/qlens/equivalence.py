@@ -97,23 +97,31 @@ class EquivDecision(NamedTuple):
 
 def _int_rows(rows, name: str) -> IntMatrix:
     """rows read with operator.index, which refuses the float or string that
-    int() would truncate or parse; the error names the entry, 1-based."""
+    int() would truncate or parse; the error names the entry, 1-based, or
+    the argument when it is not a sequence of rows."""
     try:
         return tuple(tuple(map(index, row)) for row in rows)
     except TypeError:
-        for i, row in enumerate(rows, 1):
-            for j, v in enumerate(row, 1):
+        for i, row in enumerate(rows if hasattr(rows, "__iter__") else (), 1):
+            for j, v in enumerate(row if hasattr(row, "__iter__") else (), 1):
                 if not hasattr(type(v), "__index__"):
                     msg = f"{name} entry ({i}, {j}) is not an integer: {v!r}"
                     raise InvalidParamsError(msg) from None
-        raise
+        raise InvalidParamsError(f"{name} must be a sequence of rows of integers") from None
 
 
 def _as_entries(matrix, name: str) -> IntMatrix:
+    """matrix read by _int_rows and checked to be square, unit-diagonal and
+    upper triangular: the domain on which every certificate here is proved."""
     rows = _int_rows(getattr(matrix, "entries", matrix), name)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("matrix must be square")
+    for i, row in enumerate(rows):
+        for j in (i, *range(i)):  # each row's diagonal entry first
+            if row[j] != (i == j):
+                shape = "have unit diagonal" if i == j else "be upper triangular"
+                raise InvalidParamsError(f"{name} must {shape}; entry ({i + 1}, {j + 1}) is {row[j]}")
     return rows
 
 
@@ -123,14 +131,6 @@ def _as_pair(A, B) -> tuple[IntMatrix, IntMatrix]:
     if len(b) != len(a):
         raise DimensionMismatchError(f"matrices have dimensions {len(a)} and {len(b)}")
     return a, b
-
-
-def _require_unitriangular(entries: IntMatrix, name: str) -> None:
-    for i, row in enumerate(entries):
-        for j in (i, *range(i)):  # each row's diagonal entry first
-            if row[j] != (i == j):
-                shape = "have unit diagonal" if i == j else "be upper triangular"
-                raise InvalidParamsError(f"{name} must {shape}; entry ({i + 1}, {j + 1}) is {row[j]}")
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -389,8 +389,6 @@ def decide_equiv(A, B) -> EquivDecision:
     """
     a, b = _as_pair(A, B)
     n = len(a)
-    _require_unitriangular(a, "A")
-    _require_unitriangular(b, "B")
     if a == b:
         ident = tuple(tuple(row) for row in _identity(n))
         return EquivDecision(True, "matrices are equal", Witness(ident, ident))
@@ -447,7 +445,7 @@ def _system_witness(a: IntMatrix, b: IntMatrix, cache: dict) -> Witness | None:
 def verify_witness(A, B, witness: Witness) -> bool:
     """True iff U, V are unipotent upper triangular and U(A-I) = (B-I)V,
     checked as UA - U = BV - V in 2n^2 dot products. Every entry of A, B,
-    U and V must be an integer."""
+    U and V must be an integer, and A and B unit upper triangular."""
     w = Witness(_int_rows(witness.U, "U"), _int_rows(witness.V, "V"))
     return _witness_holds(_as_entries(A, "A"), _as_entries(B, "B"), w)
 
@@ -482,7 +480,6 @@ def submatrix_necessary(A, B, b: int, c: int) -> bool:
 def unipotent_inverse(matrix) -> IntMatrix:
     """Exact integer inverse of a unipotent upper-triangular matrix."""
     m = _as_entries(matrix, "matrix")
-    _require_unitriangular(m, "matrix")
     n = len(m)
     inv = _identity(n)
     for j in range(n):

@@ -154,7 +154,8 @@ def _iter_legal_paths(
     `budget` path prefixes have been visited. Rows below j are pruned
     since no edge ever decreases the subgraph index.
     """
-    n = graph.n
+    n, budget = graph.n, _integer(budget, "budget")
+    i, j = _integer(i, "i"), _integer(j, "j")
     if not (1 <= i <= j <= n):
         raise IndexOutOfRangeError(f"need 1 <= i <= j <= n={n}, got i={i}, j={j}")
     target = (j, 0)

@@ -438,6 +438,39 @@ def test_unwritable_output_exit_2(capsys, tmp_path, argv, where):
     assert "Traceback" not in err
 
 
+def _equivalent_pair_to(stdout):
+    """equiv on an equivalent pair in a child process, its stdout on the given file."""
+    command, env = _cli_command()
+    argv = ("equiv", "--r", "5", "--m1", "1,2,1", "--m2", "1,2,1")
+    return subprocess.run([*command, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+def _assert_unwritable_stdout_exit_2(proc):
+    # exit 2, not Equivalent's 0 or the 1 of an uncaught error, and no second
+    # failure when the interpreter flushes stdout at exit
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_pipe_exit_2():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _equivalent_pair_to(write)
+    finally:
+        os.close(write)
+    _assert_unwritable_stdout_exit_2(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exit_2():
+    with open("/dev/full", "w") as full:
+        proc = _equivalent_pair_to(full)
+    _assert_unwritable_stdout_exit_2(proc)
+
+
 # Exact bytes, so that key order, separators and CSV line endings stay fixed.
 PINNED_OUTPUTS = [
     (

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -668,6 +669,47 @@ def test_block_obstruction_and_normal_form_check_their_input():
     for matrix in (((1, 2), (0,)), ((1, 2, 3), (0, 1, 1))):
         with pytest.raises(DimensionMismatchError, match="^matrix must be square$"):
             distance_normal_form(matrix)
+
+
+@pytest.mark.parametrize(
+    "bad, fault",
+    [
+        (((2, 3, 1), (0, 1, 3), (0, 0, 1)), "must have unit diagonal; entry (1, 1) is 2"),
+        (((1, 3, 1), (0, 1, 3), (0, 5, 1)), "must be upper triangular; entry (3, 2) is 5"),
+    ],
+    ids=["diagonal-2", "below-diagonal"],
+)
+def test_every_matrix_function_refuses_matrices_outside_the_domain(bad, fault):
+    # every certificate is proved for unit upper-triangular matrices only, so
+    # each function taking one refuses the rest with decide_equiv's message
+    good = ((1, 3, 2), (0, 1, 3), (0, 0, 1))
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    calls = {
+        "A": [decide_equiv, block_obstruction, lambda x, y: obstruction_mod_k(x, y, 3),
+              lambda x, y: submatrix_necessary(x, y, 1, 2), lambda x, y: verify_witness(x, y, Witness(ident, ident))],
+        "matrix": [lambda x, _: distance_normal_form(x), lambda x, _: unipotent_inverse(x)],
+    }
+    for name, functions in calls.items():
+        for call in functions:
+            with pytest.raises(InvalidParamsError, match=f"^{re.escape(f'{name} {fault}')}$"):
+                call(bad, good)
+            if name == "A":
+                with pytest.raises(InvalidParamsError, match=f"^{re.escape(f'B {fault}')}$"):
+                    call(good, bad)
+
+
+@pytest.mark.parametrize(
+    "a, b, name",
+    [
+        (5, 5, "A"),
+        ([[1, 2], 3], [[1, 2], [0, 1]], "A"),
+        ([[1, 2], [0, 1]], [[1, 2], None], "B"),
+    ],
+    ids=["int", "int-row-of-A", "None-row-of-B"],
+)
+def test_a_matrix_that_is_not_a_sequence_of_rows_is_refused(a, b, name):
+    with pytest.raises(InvalidParamsError, match=f"^{name} must be a sequence of rows of integers$"):
+        decide_equiv(a, b)
 
 
 def test_block_obstruction_silent_on_transformed_pairs():

@@ -89,6 +89,7 @@ class Exact:
 A3 = ((1, 3, 1), (0, 1, 3), (0, 0, 1))
 B3 = ((1, 3, 2), (0, 1, 3), (0, 0, 1))
 P25 = LensParams(25, (1, 2, 3))
+N5 = build_graph(LensParams(5, (1, 2, 1)), "N")
 
 
 def test_integer_parameters_are_read_with_index():
@@ -113,6 +114,7 @@ def test_integer_parameters_are_read_with_index():
     assert mod_inverse(Exact(2), Exact(5)) == 3
     assert count_matrix(P25, jobs=Exact(2)) == count_matrix(P25)
     assert partition_classes(5, 4, budget=Exact(100), jobs=Exact(2)) == partition_classes(5, 4)
+    assert enumerate_legal_paths(N5, Exact(1), Exact(3), Exact(10**8)) == enumerate_legal_paths(N5, 1, 3) == 15
 
 
 @pytest.mark.parametrize(
@@ -140,12 +142,17 @@ def test_integer_parameters_are_read_with_index():
         (lambda jobs: count_matrix(P25, jobs=jobs), (2.0,), InvalidParamsError, "jobs must be an integer, got 2.0"),
         (partition_classes, (5, 8, 10**7, "2"), InvalidParamsError, "jobs must be an integer, got '2'"),
         (partition_classes, (5, 5, 2.5), InvalidParamsError, "budget must be an integer, got 2.5"),
+        (enumerate_legal_paths, (N5, 1.0, 3), InvalidParamsError, "i must be an integer, got 1.0"),
+        (enumerate_legal_paths, (N5, 1, 3.0), InvalidParamsError, "j must be an integer, got 3.0"),
+        (enumerate_legal_paths, (N5, 1, 3, 2.5), InvalidParamsError, "budget must be an integer, got 2.5"),
+        (enumerate_legal_paths, (N5, 1, 3, "x"), InvalidParamsError, "budget must be an integer, got 'x'"),
     ],
     ids=["LensParams", "scale", "factorize", "poly_1to6", "phitilde_search", "congruence_main-p",
          "congruence_main-alpha", "obstruction_mod_k", "submatrix_necessary-b", "submatrix_necessary-c",
          "is_prime", "padic_valuation-x", "padic_valuation-p", "binomial", "binomial-negative",
          "mod_inverse-r", "mod_inverse-a", "count_matrix-jobs-str", "count_matrix-jobs-float",
-         "partition_classes-jobs", "partition_classes-budget"],
+         "partition_classes-jobs", "partition_classes-budget", "enumerate_legal_paths-i",
+         "enumerate_legal_paths-j", "enumerate_legal_paths-budget", "enumerate_legal_paths-budget-str"],
 )
 def test_integer_parameters_refuse_floats(call, args, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -290,6 +297,14 @@ def test_oracle_index_validation():
     for i, j in [(0, 1), (1, 4), (3, 2)]:
         with pytest.raises(IndexOutOfRangeError):
             enumerate_legal_paths(g, i, j)
+
+
+def test_out_neighbors_refuses_a_missing_vertex():
+    g = build_graph(LensParams(5, (1, 2, 1)), "N")
+    assert g.out_neighbors(3, 9) == g.out_neighbors(3, 4)  # t is read modulo r
+    for s in (0, 4):
+        with pytest.raises(IndexOutOfRangeError, match=rf"^no vertex \({s}, 0\) in a graph with n=3, r=5$"):
+            g.out_neighbors(s, 0)
 
 
 def test_to_dot_contains_vertices_and_edges():
